@@ -12,8 +12,7 @@ from typing import Optional
 
 from . import image_metrics, io_schemas, sim, tracker, video_metrics
 from .errors import UndefinedMetricError, ValidationError
-from .masks import FrameMaskSeq
-from .matching import iom_nms, iou_matrix
+from .matching import iom_nms
 
 
 def _report_format(path: str) -> str:
@@ -188,32 +187,6 @@ def _cmd_eval_video(args) -> int:
     return 0
 
 
-def _tracks_propagator(tracks: dict[int, FrameMaskSeq]):
-    """Follow the reference track that best matched the masklet last frame."""
-
-    def propagate(masklet, frame):
-        prev = masklet.masks[frame - 1]
-        if prev.area > 0:
-            best, best_iou = None, 0.0
-            ref_prev = [
-                (tid, seq.mask_at(frame - 1)) for tid, seq in sorted(tracks.items())
-            ]
-            matrix = iou_matrix(
-                [prev], [m for _, m in ref_prev if m is not None]
-            )
-            candidates = [tid for tid, m in ref_prev if m is not None]
-            for pos, tid in enumerate(candidates):
-                if matrix[0, pos] > best_iou:
-                    best, best_iou = tid, matrix[0, pos]
-            if best is not None:
-                cur = tracks[best].mask_at(frame)
-                if cur is not None:
-                    return cur, masklet.scores[frame - 1]
-        return prev, masklet.scores[frame - 1]
-
-    return propagate
-
-
 def _cmd_track(args) -> int:
     stream = io_schemas.load_detection_stream(args.detections)
     config = (
@@ -223,7 +196,7 @@ def _cmd_track(args) -> int:
         if not args.tracks:
             raise ValidationError(["--propagator tracks needs --tracks FILE"])
         _, reference = io_schemas.load_masklets(args.tracks)
-        propagator = _tracks_propagator(reference)
+        propagator = sim.follow_reference(reference)
     else:
         propagator = tracker.hold_propagator
     result = tracker.run(stream.frames, propagator, config)

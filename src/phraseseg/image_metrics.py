@@ -10,9 +10,10 @@ product scaled to 0..100.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -187,12 +188,21 @@ def combine_scores(presence: float, query_score: float) -> float:
 
 @dataclass(frozen=True)
 class AnnotationEval:
-    """Localization outcome of one (datapoint, annotation) pair, per threshold."""
+    """Outcome of one datapoint scored against one annotation: localization
+    counts and F1 per threshold, plus the presence facts the fold needs."""
 
     n_pred: int
     n_gt: int
     counts: tuple[Counts, ...]
     f1: tuple[float, ...]  # 1.0 when there is nothing to predict and nothing predicted
+
+    @property
+    def positive(self) -> bool:
+        return self.n_gt > 0
+
+    @property
+    def predicted(self) -> bool:
+        return self.n_pred > 0
 
     @property
     def mean_f1(self) -> float:
@@ -210,26 +220,25 @@ def _f1_from_counts(c: Counts) -> float:
     return 2 * c.tp / denom
 
 
+def score_matrix(matrix, thresholds: Sequence[float] = IOU_THRESHOLDS) -> AnnotationEval:
+    """Score a predictions x ground-truth similarity matrix (mask IoU for
+    images, volume IoU for videos): one optimal matching on the raw values,
+    re-thresholded per tau into TP/FP/FN and F1."""
+    match = optimal_match(matrix)
+    n_pred, n_gt = np.shape(matrix)
+    counts = tuple(counts_at_threshold(match, n_pred, n_gt, tau) for tau in thresholds)
+    return AnnotationEval(
+        n_pred=n_pred, n_gt=n_gt, counts=counts, f1=tuple(_f1_from_counts(c) for c in counts)
+    )
+
+
 def evaluate_annotation(
     gated_preds: Sequence[Detection],
     gt_masks: Sequence[RleMask],
     thresholds: Sequence[float] = IOU_THRESHOLDS,
 ) -> AnnotationEval:
-    """Match gated predictions against one annotation and sweep the thresholds.
-
-    The matching is computed once on raw IoU and re-thresholded per tau.
-    """
-    match = optimal_match(iou_matrix([d.mask for d in gated_preds], list(gt_masks)))
-    counts = tuple(
-        counts_at_threshold(match, len(gated_preds), len(gt_masks), tau)
-        for tau in thresholds
-    )
-    return AnnotationEval(
-        n_pred=len(gated_preds),
-        n_gt=len(gt_masks),
-        counts=counts,
-        f1=tuple(_f1_from_counts(c) for c in counts),
-    )
+    """Match gated predictions against one annotation and sweep the thresholds."""
+    return score_matrix(iou_matrix([d.mask for d in gated_preds], list(gt_masks)), thresholds)
 
 
 def local_f1(dp: DataPoint, annotation_index: int, tau: float, gate_threshold: float = DEFAULT_GATE) -> float:
@@ -242,6 +251,16 @@ def local_f1(dp: DataPoint, annotation_index: int, tau: float, gate_threshold: f
     return ev.f1[0]
 
 
+def _best(evals: Sequence[AnnotationEval]) -> int:
+    """Index of the best-agreeing evaluation: highest threshold-averaged F1,
+    then the smaller FN+FP total, then the lowest index."""
+    return max(range(len(evals)), key=lambda k: (evals[k].mean_f1, -evals[k].fn_fp_total))
+
+
+def _annotation_evals(dp: DataPoint, gated: Sequence[Detection]) -> list[AnnotationEval]:
+    return [evaluate_annotation(gated, dp.annotation_masks(k)) for k in range(len(dp.annotations))]
+
+
 def oracle_select(dp: DataPoint, gate_threshold: float = DEFAULT_GATE) -> int:
     """Pick the annotation the predictions agree with best.
 
@@ -249,44 +268,28 @@ def oracle_select(dp: DataPoint, gate_threshold: float = DEFAULT_GATE) -> int:
     gated predictions scores 1.0), breaking ties by the smaller FN+FP total
     and then by the lowest annotation index.
     """
+    return _best(_annotation_evals(dp, gate(dp.predictions, gate_threshold)))
+
+
+def _score_datapoint(
+    dp: DataPoint, gate_threshold: float, oracle: bool, annotation_index: int
+) -> AnnotationEval:
     gated = gate(dp.predictions, gate_threshold)
-    best_index = 0
-    best_key: Optional[tuple[float, int]] = None
-    for k in range(len(dp.annotations)):
-        ev = evaluate_annotation(gated, dp.annotation_masks(k))
-        key = (ev.mean_f1, -ev.fn_fp_total)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_index = k
-    return best_index
+    if not oracle:
+        return evaluate_annotation(gated, dp.annotation_masks(annotation_index))
+    evals = _annotation_evals(dp, gated)
+    return evals[_best(evals)]
 
 
-@dataclass(frozen=True)
-class _DatapointOutcome:
-    positive: bool
-    predicted: bool  # any gated prediction
-    localization: Optional[AnnotationEval]  # present iff positive
-
-
-def _evaluate_datapoint(
-    dp: DataPoint,
-    gate_threshold: float,
-    oracle: bool,
-    annotation_index: int,
-) -> _DatapointOutcome:
-    gated = gate(dp.predictions, gate_threshold)
-    index = oracle_select(dp, gate_threshold) if oracle else annotation_index
-    gt = dp.annotation_masks(index)
-    positive = len(gt) > 0
-    return _DatapointOutcome(
-        positive=positive,
-        predicted=len(gated) > 0,
-        localization=evaluate_annotation(gated, gt) if positive else None,
+def _il(outcomes: Iterable[AnnotationEval]) -> ILCounts:
+    c = Counter((o.positive, o.predicted) for o in outcomes)
+    return ILCounts(
+        il_tp=c[True, True], il_tn=c[False, False], il_fp=c[False, True], il_fn=c[True, False]
     )
 
 
 def _fold_outcomes(
-    outcomes: Sequence[_DatapointOutcome],
+    outcomes: Sequence[AnnotationEval],
     mode: str,
     level: str,
     protocol: str,
@@ -304,11 +307,11 @@ def _fold_outcomes(
     fn = [0] * n_taus
     local_f1s: list[list[float]] = [[] for _ in range(n_taus)]
     for o in positives:
-        for k, c in enumerate(o.localization.counts):
+        for k, c in enumerate(o.counts):
             tp[k] += c.tp
             fp[k] += c.fp
             fn[k] += c.fn
-            local_f1s[k].append(o.localization.f1[k])
+            local_f1s[k].append(o.f1[k])
 
     micro_per_tau = [
         _f1_from_counts(Counts(tp[k], fp[k], fn[k], IOU_THRESHOLDS[k]))
@@ -319,12 +322,7 @@ def _fold_outcomes(
     micro_f1 = math.fsum(micro_per_tau) / n_taus
     macro_f1 = math.fsum(macro_per_tau) / n_taus
 
-    il = ILCounts(
-        il_tp=sum(1 for o in outcomes if o.positive and o.predicted),
-        il_fn=sum(1 for o in outcomes if o.positive and not o.predicted),
-        il_fp=sum(1 for o in outcomes if not o.positive and o.predicted),
-        il_tn=sum(1 for o in outcomes if not o.positive and not o.predicted),
-    )
+    il = _il(outcomes)
     mcc = il_mcc(il)
     loc = micro_f1 if mode == "micro" else macro_f1
     return MetricReport(
@@ -348,22 +346,12 @@ def _fold_outcomes(
     )
 
 
-def _outcomes(
-    dps: Sequence[DataPoint],
-    gate_threshold: float,
-    oracle: bool,
-    annotation_index: int,
-    threads: int,
-) -> list[_DatapointOutcome]:
+def _map(fn: Callable, items: Sequence, threads: int) -> list:
+    """``fn`` over ``items`` in order, on a thread pool when ``threads > 1``."""
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(
-                pool.map(
-                    lambda dp: _evaluate_datapoint(dp, gate_threshold, oracle, annotation_index),
-                    dps,
-                )
-            )
-    return [_evaluate_datapoint(dp, gate_threshold, oracle, annotation_index) for dp in dps]
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def cg_f1(
@@ -380,7 +368,9 @@ def cg_f1(
     Datapoints may be folded in parallel; the outcome is independent of
     ``threads`` because accumulation is a commutative count merge.
     """
-    outcomes = _outcomes(dps, gate_threshold, oracle, annotation_index, threads)
+    outcomes = _map(
+        lambda dp: _score_datapoint(dp, gate_threshold, oracle, annotation_index), dps, threads
+    )
     return _fold_outcomes(
         outcomes, mode, "image", "oracle" if oracle else "fixed", gate_threshold
     )
@@ -420,30 +410,19 @@ def il_counts(
     annotation_index: int = 0,
 ) -> ILCounts:
     """Image-level presence confusion counts; mask quality plays no role."""
-    tp = tn = fp = fn = 0
-    for dp in dps:
-        index = oracle_select(dp, gate_threshold) if oracle else annotation_index
-        positive = dp.is_positive(index)
-        predicted = len(gate(dp.predictions, gate_threshold)) > 0
-        if positive:
-            tp, fn = tp + predicted, fn + (not predicted)
-        else:
-            fp, tn = fp + predicted, tn + (not predicted)
-    return ILCounts(il_tp=tp, il_tn=tn, il_fp=fp, il_fn=fn)
+    return _il(_score_datapoint(dp, gate_threshold, oracle, annotation_index) for dp in dps)
+
+
+def _mcc(tp, tn, fp, fn) -> float:
+    den = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
+    if den == 0:
+        return 0.0
+    return (tp * tn - fp * fn) / math.sqrt(den)
 
 
 def il_mcc(c: ILCounts) -> float:
     """Matthews correlation coefficient; 0 when any denominator factor is 0."""
-    num = c.il_tp * c.il_tn - c.il_fp * c.il_fn
-    den = (
-        (c.il_tp + c.il_fp)
-        * (c.il_tp + c.il_fn)
-        * (c.il_tn + c.il_fp)
-        * (c.il_tn + c.il_fn)
-    )
-    if den == 0:
-        return 0.0
-    return num / math.sqrt(den)
+    return _mcc(c.il_tp, c.il_tn, c.il_fp, c.il_fn)
 
 
 def weighted_presence_mcc(
@@ -470,11 +449,25 @@ def weighted_presence_mcc(
             tp, fn = tp + w * predicted, fn + w * (not predicted)
         else:
             fp, tn = fp + w * predicted, tn + w * (not predicted)
-    num = tp * tn - fp * fn
-    den = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
-    if den == 0:
-        return 0.0
-    return num / math.sqrt(den)
+    return _mcc(tp, tn, fp, fn)
+
+
+def _annotator_pairs(dps: Sequence[DataPoint]) -> Callable[[int, int, int], AnnotationEval]:
+    """Scorer of ordered annotation pairs: ``score(i, g, p)`` evaluates
+    annotation ``p`` of datapoint ``i``, as ungated predictions, against
+    annotation ``g``. Each pair is scored once, on first use."""
+    for dp in dps:
+        if len(dp.annotations) < 2:
+            raise ValueError("human protocols need at least 2 annotations per datapoint")
+    memo: dict[tuple[int, int, int], AnnotationEval] = {}
+
+    def score(i: int, g: int, p: int) -> AnnotationEval:
+        if (i, g, p) not in memo:
+            preds = tuple(Detection(mask=m, score=1.0) for m in dps[i].annotation_masks(p))
+            memo[i, g, p] = evaluate_annotation(preds, dps[i].annotation_masks(g))
+        return memo[i, g, p]
+
+    return score
 
 
 def human_oracle(
@@ -486,35 +479,12 @@ def human_oracle(
     """Upper-bound annotator agreement: per datapoint, score the best ordered
     (ground truth, prediction) pair of annotations, ties broken like
     :func:`oracle_select` and then by lowest pair index."""
+    score = _annotator_pairs(dps)
     outcomes = []
-    for dp in dps:
+    for i, dp in enumerate(dps):
         k = len(dp.annotations)
-        if k < 2:
-            raise ValueError("human protocols need at least 2 annotations per datapoint")
-        best = None
-        best_key = None
-        for g in range(k):
-            gt = dp.annotation_masks(g)
-            for p in range(k):
-                if p == g:
-                    continue
-                preds = tuple(
-                    Detection(mask=m, score=1.0) for m in dp.annotation_masks(p)
-                )
-                ev = evaluate_annotation(preds, gt)
-                key = (ev.mean_f1, -ev.fn_fp_total)
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best = (g, preds)
-        g, preds = best
-        gt = dp.annotation_masks(g)
-        outcomes.append(
-            _DatapointOutcome(
-                positive=len(gt) > 0,
-                predicted=len(preds) > 0,
-                localization=evaluate_annotation(preds, gt) if gt else None,
-            )
-        )
+        evals = [score(i, g, p) for g in range(k) for p in range(k) if p != g]
+        outcomes.append(evals[_best(evals)])
     return _fold_outcomes(outcomes, mode, "image", "oracle", gate_threshold)
 
 
@@ -531,66 +501,48 @@ def random_pair(
     per-metric median across trials. Deterministic given the seed."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    for dp in dps:
-        if len(dp.annotations) < 2:
-            raise ValueError("human protocols need at least 2 annotations per datapoint")
+    score = _annotator_pairs(dps)
 
     reports = []
     for seq in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(seq)
         outcomes = []
-        for dp in dps:
+        for i, dp in enumerate(dps):
             k = len(dp.annotations)
             g = int(rng.integers(k))
             p = int(rng.integers(k - 1))
             if p >= g:
                 p += 1
-            gt = dp.annotation_masks(g)
-            preds = tuple(Detection(mask=m, score=1.0) for m in dp.annotation_masks(p))
-            outcomes.append(
-                _DatapointOutcome(
-                    positive=len(gt) > 0,
-                    predicted=len(preds) > 0,
-                    localization=evaluate_annotation(preds, gt) if gt else None,
-                )
-            )
+            outcomes.append(score(i, g, p))
         reports.append(_fold_outcomes(outcomes, mode, "image", "random-pair", gate_threshold))
 
-    def med(pick):
-        return float(np.median([pick(r) for r in reports]))
+    def med(pick, cast=float):
+        return cast(np.median([pick(r) for r in reports]))
 
-    n_taus = len(IOU_THRESHOLDS)
     return MetricReport(
         cg_f1=med(lambda r: r.cg_f1),
         localization_f1=med(lambda r: r.localization_f1),
         micro_f1=med(lambda r: r.micro_f1),
         macro_f1=med(lambda r: r.macro_f1),
         mcc=med(lambda r: r.mcc),
-        il=reports[0].il if trials == 1 else ILCounts(
-            il_tp=int(np.median([r.il.il_tp for r in reports])),
-            il_tn=int(np.median([r.il.il_tn for r in reports])),
-            il_fp=int(np.median([r.il.il_fp for r in reports])),
-            il_fn=int(np.median([r.il.il_fn for r in reports])),
-        ),
+        il=_field_medians(ILCounts, [r.il for r in reports], int),
         per_threshold=tuple(
-            ThresholdStat(
-                IOU_THRESHOLDS[k],
-                med(lambda r, k=k: r.per_threshold[k].tp),
-                med(lambda r, k=k: r.per_threshold[k].fp),
-                med(lambda r, k=k: r.per_threshold[k].fn),
-                med(lambda r, k=k: r.per_threshold[k].micro_f1),
-                med(lambda r, k=k: r.per_threshold[k].macro_f1),
-            )
-            for k in range(n_taus)
+            _field_medians(ThresholdStat, [r.per_threshold[k] for r in reports])
+            for k in range(len(IOU_THRESHOLDS))
         ),
         n_datapoints=len(dps),
-        n_positive=int(np.median([r.n_positive for r in reports])),
-        n_negative=int(np.median([r.n_negative for r in reports])),
+        n_positive=med(lambda r: r.n_positive, int),
+        n_negative=med(lambda r: r.n_negative, int),
         level="image",
         mode=mode,
         protocol="random-pair",
         gate=gate_threshold,
     )
+
+
+def _field_medians(cls, items: Sequence, cast: Callable = float):
+    """Field-wise median of dataclass instances ``items`` of type ``cls``."""
+    return cls(**{f.name: cast(np.median([getattr(x, f.name) for x in items])) for f in fields(cls)})
 
 
 def counting_metrics(pairs: Sequence[tuple[int, int]]) -> tuple[float, float]:

@@ -15,7 +15,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from .errors import ValidationError
 from .image_metrics import DataPoint, GtInstance, MetricReport, combine_scores
@@ -113,14 +113,31 @@ def _check_version(doc, where, errs: _Collector) -> bool:
     return True
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_unit(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and 0.0 <= value <= 1.0
+
+
+def _frame_index(key: str) -> Optional[int]:
+    """The frame an object key names; only the canonical spelling ``str(t)``
+    counts, so that no two keys can name one frame."""
+    try:
+        idx = int(key)
+    except ValueError:
+        return None
+    return idx if str(idx) == key else None
+
+
 def _parse_rle(obj, media: MediaInfo, where: str, errs: _Collector) -> Optional[RleMask]:
     if not isinstance(obj, dict) or "counts" not in obj:
         errs.add(where, "mask must be an object with a 'counts' array")
         return None
     counts = obj["counts"]
-    if not isinstance(counts, list) or not all(
-        isinstance(c, int) and c >= 0 for c in counts
-    ):
+    if not isinstance(counts, list) or not all(_is_int(c) and c >= 0 for c in counts):
         errs.add(where, "'counts' must be a list of non-negative integers")
         return None
     try:
@@ -139,10 +156,9 @@ def _parse_frame_masks(
     frames: dict[int, RleMask] = {}
     ok = True
     for key, value in obj.items():
-        try:
-            idx = int(key)
-        except ValueError:
-            errs.add(where, f"frame key {key!r} is not an integer")
+        idx = _frame_index(key)
+        if idx is None:
+            errs.add(where, f"frame key {key!r} is not a canonical integer")
             ok = False
             continue
         if not 0 <= idx < media.frames:
@@ -297,7 +313,7 @@ def load_predictions(path, dataset: Dataset, *, use_presence: bool = True) -> Pr
             continue
         info = dataset.media[media_id]
         presence = rec.get("presence", 1.0)
-        if not isinstance(presence, (int, float)) or not 0.0 <= presence <= 1.0:
+        if not _is_unit(presence):
             errs.add(where, f"presence must be in [0, 1], got {presence!r}")
             continue
         key = (media_id, phrase)
@@ -343,7 +359,7 @@ def _parse_score(inst, where, errs: _Collector) -> Optional[float]:
         errs.add(where, "instance needs a 'score'")
         return None
     score = inst["score"]
-    if not isinstance(score, (int, float)) or not 0.0 <= score <= 1.0:
+    if not _is_unit(score):
         errs.add(where, f"score must be in [0, 1], got {score!r}")
         return None
     return float(score)
@@ -354,9 +370,7 @@ def _parse_masklet_score(inst, where, errs: _Collector) -> Optional[float]:
     if isinstance(inst, dict) and "score" not in inst and "frame_scores" in inst:
         frame_scores = inst["frame_scores"]
         values = list(frame_scores.values()) if isinstance(frame_scores, dict) else None
-        if not values or not all(
-            isinstance(v, (int, float)) and 0.0 <= v <= 1.0 for v in values
-        ):
+        if not values or not all(_is_unit(v) for v in values):
             errs.add(where, "'frame_scores' must map frames to values in [0, 1]")
             return None
         return float(sum(values) / len(values))
@@ -400,6 +414,18 @@ def join_video(
     return joined, ignored
 
 
+def _media_doc(media: MediaInfo) -> dict:
+    return {"id": media.id, "height": media.height, "width": media.width, "frames": media.frames}
+
+
+def _frames_doc(frames: Mapping[int, Optional[RleMask]]) -> dict:
+    """Frame map keyed by ``str(t)``; a ``None`` mask (suppressed) stays null."""
+    return {
+        str(t): None if m is None else {"counts": list(m.counts)}
+        for t, m in sorted(frames.items())
+    }
+
+
 def _image_instance_doc(inst: GtInstance) -> dict:
     doc: dict[str, Any] = {"counts": list(inst.mask.counts)}
     if inst.group:
@@ -408,11 +434,7 @@ def _image_instance_doc(inst: GtInstance) -> dict:
 
 
 def _video_instance_doc(inst: VideoInstance) -> dict:
-    doc: dict[str, Any] = {
-        "frames": {
-            str(t): {"counts": list(m.counts)} for t, m in sorted(inst.seq.frames.items())
-        }
-    }
+    doc: dict[str, Any] = {"frames": _frames_doc(inst.seq.frames)}
     if inst.group:
         doc["group"] = True
     return doc
@@ -443,10 +465,7 @@ def dataset_doc(dataset: Dataset) -> dict:
         )
     return {
         "schema_version": SCHEMA_VERSION,
-        "media": [
-            {"id": m.id, "height": m.height, "width": m.width, "frames": m.frames}
-            for m in sorted(dataset.media.values(), key=lambda m: m.id)
-        ],
+        "media": [_media_doc(m) for m in sorted(dataset.media.values(), key=lambda m: m.id)],
         "datapoints": datapoints,
     }
 
@@ -464,14 +483,7 @@ def predictions_doc(preds: PredictionSet) -> dict:
         records.append({"media_id": media_id, "phrase": phrase, "instances": instances})
     for (media_id, phrase), masklets in sorted(preds.video.items()):
         instances = [
-            {
-                "frames": {
-                    str(t): {"counts": list(m.counts)}
-                    for t, m in sorted(sm.frames.frames.items())
-                },
-                "score": sm.score,
-            }
-            for sm in masklets
+            {"frames": _frames_doc(sm.frames.frames), "score": sm.score} for sm in masklets
         ]
         records.append({"media_id": media_id, "phrase": phrase, "instances": instances})
     return {"schema_version": SCHEMA_VERSION, "predictions": records}
@@ -508,10 +520,11 @@ def load_detection_stream(path) -> DetectionStream:
     elif isinstance(raw, dict):
         keys = set()
         for key in raw:
-            try:
-                keys.add(int(key))
-            except ValueError:
-                errs.add("detections", f"frame key {key!r} is not an integer")
+            idx = _frame_index(key)
+            if idx is None:
+                errs.add("detections", f"frame key {key!r} is not a canonical integer")
+            else:
+                keys.add(idx)
         missing = sorted(set(range(media.frames)) - keys)
         extra = sorted(keys - set(range(media.frames)))
         if missing:
@@ -544,12 +557,7 @@ def load_detection_stream(path) -> DetectionStream:
 def detection_stream_doc(media: MediaInfo, frames: Sequence[Sequence[Detection]]) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "media": {
-            "id": media.id,
-            "height": media.height,
-            "width": media.width,
-            "frames": media.frames,
-        },
+        "media": _media_doc(media),
         "detections": [
             [{"counts": list(d.mask.counts), "score": d.score} for d in dets]
             for dets in frames
@@ -557,51 +565,29 @@ def detection_stream_doc(media: MediaInfo, frames: Sequence[Sequence[Detection]]
     }
 
 
-def tracks_doc(media: MediaInfo, tracks: dict[int, FrameMaskSeq]) -> dict:
-    """Masklet-schema document from plain per-id frame sequences."""
-    records = []
-    for tid in sorted(tracks):
-        seq = tracks[tid]
-        records.append(
-            {
-                "id": tid,
-                "first_frame": min(seq.frames, default=0),
-                "frames": {
-                    str(t): {"counts": list(m.counts)} for t, m in sorted(seq.frames.items())
-                },
-            }
-        )
+def _masklet_records_doc(media: MediaInfo, records) -> dict:
+    """Masklet-schema document from ``(id, first_frame, frames)`` records."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "media": {
-            "id": media.id,
-            "height": media.height,
-            "width": media.width,
-            "frames": media.frames,
-        },
-        "masklets": records,
+        "media": _media_doc(media),
+        "masklets": [
+            {"id": mid, "first_frame": first, "frames": _frames_doc(frames)}
+            for mid, first, frames in records
+        ],
     }
+
+
+def tracks_doc(media: MediaInfo, tracks: dict[int, FrameMaskSeq]) -> dict:
+    """Masklet-schema document from plain per-id frame sequences."""
+    return _masklet_records_doc(
+        media, ((tid, min(s.frames, default=0), s.frames) for tid, s in sorted(tracks.items()))
+    )
 
 
 def masklets_doc(media: MediaInfo, result: TrackResult) -> dict:
-    records = []
-    for mid in sorted(result.masklets):
-        m = result.masklets[mid]
-        frames = {
-            str(t): (None if mask is None else {"counts": list(mask.counts)})
-            for t, mask in sorted(m.frames.items())
-        }
-        records.append({"id": mid, "first_frame": m.t_first, "frames": frames})
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "media": {
-            "id": media.id,
-            "height": media.height,
-            "width": media.width,
-            "frames": media.frames,
-        },
-        "masklets": records,
-    }
+    return _masklet_records_doc(
+        media, ((mid, m.t_first, m.frames) for mid, m in sorted(result.masklets.items()))
+    )
 
 
 def load_masklets(path) -> tuple[MediaInfo, dict[int, FrameMaskSeq]]:
@@ -618,14 +604,17 @@ def load_masklets(path) -> tuple[MediaInfo, dict[int, FrameMaskSeq]]:
         if not isinstance(rec, dict) or "id" not in rec or "frames" not in rec:
             errs.add(where, "masklet needs 'id' and 'frames'")
             continue
+        mid = rec["id"]
+        if not _is_int(mid):
+            errs.add(where, f"masklet id must be a JSON integer, got {mid!r}")
+            continue
         seq = _parse_frame_masks(rec["frames"], media, where, errs)
         if seq is None:
             continue
-        mid = rec["id"]
         if mid in masklets:
             errs.add(where, f"duplicate masklet id {mid}")
             continue
-        masklets[int(mid)] = seq
+        masklets[mid] = seq
     errs.raise_if_any()
     return media, masklets
 

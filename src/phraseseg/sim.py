@@ -10,7 +10,7 @@ truth with its own jitter. Everything is a pure function of (config, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -196,28 +196,52 @@ def gen_scenario(cfg: ScenarioConfig) -> Scenario:
         FrameMaskSeq(cfg.height, cfg.width, frames) for frames in gt_masks
     )
 
-    def propagator(masklet: Masklet, frame: int) -> tuple[RleMask, float]:
-        prev = masklet.masks[frame - 1]
-        if prev.area > 0:
-            best_obj, best_iou = -1, 0.0
-            for i in range(cfg.objects):
-                gm = gt_masks[i].get(frame - 1)
-                if gm is None:
-                    continue
-                iou = mask_iou(prev, gm)
-                if iou > best_iou:
-                    best_obj, best_iou = i, iou
-            if best_obj >= 0 and frame in prop_masks[best_obj]:
-                return prop_masks[best_obj][frame], 1.0
-        return prev, masklet.scores[frame - 1]
-
     return Scenario(
         config=cfg,
         gt_masklets=gt_seqs,
         detections=tuple(detections),
-        propagator=propagator,
+        propagator=follow_reference(
+            dict(enumerate(gt_seqs)),
+            output={i: FrameMaskSeq(cfg.height, cfg.width, m) for i, m in enumerate(prop_masks)},
+            confidence=1.0,
+        ),
         object_boxes=tuple(tuple(row) for row in boxes),
     )
+
+
+def follow_reference(
+    reference: Mapping[int, FrameMaskSeq],
+    output: Optional[Mapping[int, FrameMaskSeq]] = None,
+    confidence: Optional[float] = None,
+) -> Propagator:
+    """Propagator that follows reference tracks.
+
+    A masklet follows the reference track its previous mask overlaps best on
+    the previous frame (the lowest track id on ties) and takes that track's
+    ``output`` mask on the current frame (``output`` defaults to
+    ``reference``), scored ``confidence`` (default: the masklet's previous
+    score). With no overlapping track, or no output mask on the current
+    frame, the previous mask and score are held.
+    """
+    output = reference if output is None else output
+    order = sorted(reference)
+
+    def propagate(masklet: Masklet, frame: int) -> tuple[RleMask, float]:
+        prev, score = masklet.masks[frame - 1], masklet.scores[frame - 1]
+        best, best_iou = None, 0.0
+        if prev.area > 0:
+            for tid in order:
+                ref = reference[tid].mask_at(frame - 1)
+                if ref is not None:
+                    iou = mask_iou(prev, ref)
+                    if iou > best_iou:
+                        best, best_iou = tid, iou
+        cur = None if best is None else output[best].mask_at(frame)
+        if cur is None:
+            return prev, score
+        return cur, score if confidence is None else confidence
+
+    return propagate
 
 
 @dataclass(frozen=True)

@@ -184,13 +184,14 @@ class Tracker:
             m.masks[tau] = mask
             m.scores[tau] = score
 
-        # (1) associate propagated masks with detections
+        # (1) associate propagated masks with detections; each masklet's IoU
+        # row against this frame's detections is computed once and reused below
+        def iou_row(mask: RleMask) -> list[float]:
+            return [mask_iou(mask, det.mask) for det in detections]
+
         ids = sorted(self.masklets)
-        matrix = np.zeros((len(ids), len(detections)))
-        for r, mid in enumerate(ids):
-            mask = self.masklets[mid].masks[tau]
-            for c, det in enumerate(detections):
-                matrix[r, c] = mask_iou(mask, det.mask)
+        iou_rows = {mid: iou_row(self.masklets[mid].masks[tau]) for mid in ids}
+        matrix = np.array([iou_rows[mid] for mid in ids]).reshape(len(ids), len(detections))
         matched: dict[int, int] = {}  # masklet id -> detection index
         for r, c, iou in optimal_match(matrix).pairs:
             if iou > cfg.match_iou:
@@ -206,12 +207,9 @@ class Tracker:
             m.masks[tau] = det.mask
             m.scores[tau] = det.score
             self.masklets[m.id] = m
+            iou_rows[m.id] = iou_row(det.mask)
 
         # (3) record the frame-wise match indicator for every active masklet
-        iou_rows: dict[int, list[float]] = {}
-        for mid in sorted(self.masklets):
-            mask = self.masklets[mid].masks[tau]
-            iou_rows[mid] = [mask_iou(mask, det.mask) for det in detections]
         for mid in sorted(self.masklets):
             m = self.masklets[mid]
             d = 1 if any(v > cfg.match_iou for v in iou_rows[mid]) else -1
@@ -374,9 +372,9 @@ def run(
     masklets: dict[int, EmittedMasklet] = {}
     for out in outputs:
         for mid, mask in out.masks.items():
-            rec = masklets.setdefault(
-                mid, EmittedMasklet(id=mid, t_first=tracker.masklets[mid].t_first, frames={})
-            )
+            # A masklet is shown from its spawn frame on, so its first output
+            # frame is its t_first, even if it was removed later.
+            rec = masklets.setdefault(mid, EmittedMasklet(id=mid, t_first=out.frame, frames={}))
             rec.frames[out.frame] = mask
     return TrackResult(
         height=grid[0], width=grid[1], outputs=outputs, masklets=masklets

@@ -10,24 +10,15 @@ synthetic single-class sequence.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import UndefinedMetricError
-from .image_metrics import (
-    DEFAULT_GATE,
-    IOU_THRESHOLDS,
-    AnnotationEval,
-    MetricReport,
-    _DatapointOutcome,
-    _f1_from_counts,
-    _fold_outcomes,
-)
+from .image_metrics import DEFAULT_GATE, MetricReport, _fold_outcomes, _map, score_matrix
 from .masks import FrameMaskSeq, RleMask, mask_iou, volume_iou
-from .matching import Matching, counts_at_threshold, optimal_match
+from .matching import Matching, optimal_match
 
 # Localization threshold grid of the HOTA family (integer-derived, no drift).
 HOTA_ALPHAS: tuple[float, ...] = tuple((5 + 5 * k) / 100 for k in range(19))
@@ -97,29 +88,6 @@ def match_masklets(vdp: VideoDataPoint, gate_threshold: float = DEFAULT_GATE) ->
     return optimal_match(volume_iou_matrix(preds, vdp.gt_masklets))
 
 
-def _evaluate_video_datapoint(
-    vdp: VideoDataPoint, gate_threshold: float
-) -> _DatapointOutcome:
-    preds = gated_masklets(vdp.pred_masklets, gate_threshold)
-    positive = vdp.is_positive
-    localization = None
-    if positive:
-        match = optimal_match(volume_iou_matrix(preds, vdp.gt_masklets))
-        counts = tuple(
-            counts_at_threshold(match, len(preds), len(vdp.gt_masklets), tau)
-            for tau in IOU_THRESHOLDS
-        )
-        localization = AnnotationEval(
-            n_pred=len(preds),
-            n_gt=len(vdp.gt_masklets),
-            counts=counts,
-            f1=tuple(_f1_from_counts(c) for c in counts),
-        )
-    return _DatapointOutcome(
-        positive=positive, predicted=len(preds) > 0, localization=localization
-    )
-
-
 def video_cg_f1(
     vdps: Sequence[VideoDataPoint],
     *,
@@ -133,13 +101,13 @@ def video_cg_f1(
     micro variant sits behind ``mode="micro"``. Pairs may be evaluated in
     parallel; the fold is a count merge, so the result is thread-invariant.
     """
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(
-                pool.map(lambda v: _evaluate_video_datapoint(v, gate_threshold), vdps)
-            )
-    else:
-        outcomes = [_evaluate_video_datapoint(v, gate_threshold) for v in vdps]
+    outcomes = _map(
+        lambda v: score_matrix(
+            volume_iou_matrix(gated_masklets(v.pred_masklets, gate_threshold), v.gt_masklets)
+        ),
+        vdps,
+        threads,
+    )
     return _fold_outcomes(outcomes, mode, "video", "fixed", gate_threshold)
 
 

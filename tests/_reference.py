@@ -1,13 +1,17 @@
 """Independent brute-force references used as oracles by the test suite.
 
-Nothing here shares code with the package under test beyond plain Python:
-matchings are found by exhaustive enumeration, geometry by pixel sets, and
-metrics by direct formula evaluation.
+Nothing here shares code with the package under test beyond plain Python
+and numpy's seeded generators: matchings are found by exhaustive
+enumeration, geometry by pixel sets, and metrics by direct formula
+evaluation.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
+
+import numpy as np
 
 
 # -- assignment ---------------------------------------------------------------
@@ -155,6 +159,57 @@ def reference_image_metrics(datapoints, gate=0.5):
         "IL_MCC": mcc,
         "cgF1": 100.0 * pm * mcc,
     }
+
+
+# -- annotator protocols ------------------------------------------------------
+
+
+def reference_random_pair(datapoints, trials, seed):
+    """Median pmF1 / macro_pF1 / IL_MCC / cgF1 over random annotation pairs.
+
+    ``datapoints`` is a list of per-annotator lists of pixel sets. Every trial
+    has its own generator spawned from ``SeedSequence(seed)``; per datapoint
+    with k annotations it draws the ground-truth annotation g uniformly from
+    k and the predicting annotation uniformly from the k - 1 others. Each
+    trial is scored from scratch.
+    """
+    per_trial = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(child)
+        trial = []
+        for anns in datapoints:
+            k = len(anns)
+            g = int(rng.integers(k))
+            p = int(rng.integers(k - 1))
+            if p >= g:
+                p += 1
+            trial.append((anns[g], [(s, 1.0) for s in anns[p]]))
+        per_trial.append(reference_image_metrics(trial))
+    return {key: statistics.median(r[key] for r in per_trial) for key in per_trial[0]}
+
+
+def reference_human_oracle(datapoints):
+    """pmF1 / macro_pF1 / IL_MCC / cgF1 with every datapoint scored on its
+    best ordered (ground truth, prediction) annotation pair: highest mean
+    local F1 over the thresholds, then fewest FN + FP, then the first pair in
+    (ground truth, prediction) order."""
+    chosen = []
+    for anns in datapoints:
+        best_key = best = None
+        for g, gt_sets in enumerate(anns):
+            for p, pred_sets in enumerate(anns):
+                if p == g:
+                    continue
+                counts = [datapoint_counts(pred_sets, gt_sets, tau) for tau in TAUS]
+                f1s = [
+                    2 * tp / (2 * tp + fp + fn) if tp + fp + fn else 1.0
+                    for tp, fp, fn in counts
+                ]
+                key = (sum(f1s) / len(f1s), -sum(fp + fn for _, fp, fn in counts))
+                if best_key is None or key > best_key:
+                    best_key, best = key, (gt_sets, [(s, 1.0) for s in pred_sets])
+        chosen.append(best)
+    return reference_image_metrics(chosen)
 
 
 # -- HOTA ---------------------------------------------------------------------

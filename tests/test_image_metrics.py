@@ -21,8 +21,8 @@ from phraseseg import (
 )
 from phraseseg.image_metrics import human_oracle, weighted_presence_mcc
 
-from _reference import reference_image_metrics
-from conftest import datapoint, det, mask_from_pixels, random_mask
+from _reference import reference_human_oracle, reference_image_metrics, reference_random_pair
+from conftest import datapoint, det, mask_from_pixels, random_mask, rect_mask
 
 
 def m(*pixels):
@@ -371,6 +371,79 @@ class TestRandomPair:
         oracle = human_oracle(dps)
         rand = random_pair(dps, trials=101, seed=5)
         assert oracle.macro_f1 >= rand.macro_f1 - 1e-12
+
+
+class TestAnnotatorProtocolsReference:
+    """random_pair and human_oracle against per-trial brute-force references."""
+
+    SIZE = 8
+
+    def corpus(self, seed):
+        """Datapoints with 3-4 annotators drawn around shared base boxes.
+
+        Some annotators copy an earlier one (tied pairs) or mark the phrase
+        absent; one datapoint is negative for everyone, and the first is
+        positive for everyone, so every trial has a positive. The last one's
+        best pairs, (0, 1) and (0, 2), tie on mean F1 (2/3) and differ in
+        FN + FP.
+        """
+        rng = np.random.default_rng(seed)
+        boxes_per_dp = []
+        for i in range(8):
+            base = []
+            for _ in range(int(rng.integers(1, 4))):
+                w, h = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+                base.append((int(rng.integers(0, self.SIZE - w + 1)),
+                             int(rng.integers(0, self.SIZE - h + 1)), w, h))
+            anns = []
+            for a in range(int(rng.integers(3, 5))):
+                if i == 1 or (i > 0 and rng.random() < 0.2):
+                    anns.append([])
+                elif a > 0 and rng.random() < 0.3:
+                    anns.append(list(anns[int(rng.integers(a))]))
+                else:
+                    anns.append([
+                        (int(np.clip(x + rng.integers(-1, 2), 0, self.SIZE - w)), y, w, h)
+                        for x, y, w, h in base
+                        if i == 0 or rng.random() < 0.8
+                    ])
+            boxes_per_dp.append(anns)
+        a, b, c, d = (0, 0, 2, 2), (4, 0, 2, 2), (0, 4, 2, 2), (4, 4, 2, 2)
+        boxes_per_dp.append([[a, b], [a, b, c, d], [a]])
+        dps = [
+            datapoint(
+                [rect_mask(self.SIZE, self.SIZE, *b) for b in anns[0]],
+                extra_annotations=[[rect_mask(self.SIZE, self.SIZE, *b) for b in ann]
+                                   for ann in anns[1:]],
+                media=f"img{i}",
+            )
+            for i, anns in enumerate(boxes_per_dp)
+        ]
+        pixel_sets = [
+            [[{(r, c) for r in range(y, y + h) for c in range(x, x + w)} for x, y, w, h in ann]
+             for ann in anns]
+            for anns in boxes_per_dp
+        ]
+        return dps, pixel_sets
+
+    def assert_matches(self, report, expected):
+        assert report.micro_f1 == pytest.approx(expected["pmF1"], abs=1e-12)
+        assert report.macro_f1 == pytest.approx(expected["macro_pF1"], abs=1e-12)
+        assert report.mcc == pytest.approx(expected["IL_MCC"], abs=1e-12)
+        assert report.cg_f1 == pytest.approx(expected["cgF1"], abs=1e-12)
+
+    @pytest.mark.parametrize("seed,trials", [(1, 40), (2, 41), (3, 25)])
+    def test_random_pair(self, seed, trials):
+        dps, pixel_sets = self.corpus(seed)
+        self.assert_matches(
+            random_pair(dps, trials=trials, seed=seed),
+            reference_random_pair(pixel_sets, trials, seed),
+        )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_human_oracle(self, seed):
+        dps, pixel_sets = self.corpus(seed)
+        self.assert_matches(human_oracle(dps), reference_human_oracle(pixel_sets))
 
 
 class TestCounting:

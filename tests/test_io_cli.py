@@ -636,3 +636,88 @@ class TestCliCount:
         assert out["datapoints"][0]["true"] == 2
         assert out["metrics"]["MAE"] == 0.0
         assert out["metrics"]["accuracy_percent"] == 100.0
+
+
+class TestLoadersRejectCoercion:
+    """Inputs the loaders must reject rather than coerce or merge: each run
+    exits 2 and names the offending value."""
+
+    FULL = {"counts": [0, 16]}  # every pixel of a 4x4 grid
+    VIDEO = {"id": "v", "height": 4, "width": 4, "frames": 2}
+
+    def eval_image(self, tmp_path, gt_instance=FULL, score=0.9, presence=1.0):
+        gt = {
+            "schema_version": 1,
+            "media": [{"id": "m", "height": 4, "width": 4, "frames": 1}],
+            "datapoints": [{"media_id": "m", "phrase": "box", "annotations": [[gt_instance]]}],
+        }
+        record = {"media_id": "m", "phrase": "box", "presence": presence,
+                  "instances": [{**self.FULL, "score": score}]}
+        pred = {"schema_version": 1, "predictions": [record]}
+        return main(["eval-image", "--gt", write(tmp_path / "gt.json", gt),
+                     "--pred", write(tmp_path / "pred.json", pred),
+                     "--report", str(tmp_path / "r.json")])
+
+    def eval_video(self, tmp_path, gt_frames=None, pred_instance=None):
+        gt = {
+            "schema_version": 1,
+            "media": [self.VIDEO],
+            "datapoints": [{"media_id": "v", "phrase": "box",
+                            "annotations": [[{"frames": gt_frames or {"0": self.FULL}}]]}],
+        }
+        instance = pred_instance or {"frames": {"0": self.FULL}, "score": 0.9}
+        pred = {"schema_version": 1,
+                "predictions": [{"media_id": "v", "phrase": "box", "instances": [instance]}]}
+        return main(["eval-video", "--gt", write(tmp_path / "gt.json", gt),
+                     "--pred", write(tmp_path / "pred.json", pred),
+                     "--report", str(tmp_path / "r.json")])
+
+    def track(self, tmp_path, detections=([], []), masklets=()):
+        stream = {"schema_version": 1, "media": self.VIDEO, "detections": detections}
+        tracks = {"schema_version": 1, "media": self.VIDEO, "masklets": list(masklets)}
+        return main(["track", "--detections", write(tmp_path / "d.json", stream),
+                     "--out", str(tmp_path / "out.json"), "--propagator", "tracks",
+                     "--tracks", write(tmp_path / "t.json", tracks)])
+
+    def assert_rejected(self, code, capsys, message):
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_true_run_length(self, tmp_path, capsys):
+        code = self.eval_image(tmp_path, gt_instance={"counts": [15, True]})
+        self.assert_rejected(code, capsys, "'counts' must be a list of non-negative integers")
+
+    def test_true_score(self, tmp_path, capsys):
+        code = self.eval_image(tmp_path, score=True)
+        self.assert_rejected(code, capsys, "score must be in [0, 1], got True")
+
+    def test_true_presence(self, tmp_path, capsys):
+        code = self.eval_image(tmp_path, presence=True)
+        self.assert_rejected(code, capsys, "presence must be in [0, 1], got True")
+
+    def test_true_frame_score(self, tmp_path, capsys):
+        instance = {"frames": {"0": self.FULL}, "frame_scores": {"0": True}}
+        code = self.eval_video(tmp_path, pred_instance=instance)
+        self.assert_rejected(code, capsys, "'frame_scores' must map frames to values in [0, 1]")
+
+    def test_noncanonical_instance_frame_key(self, tmp_path, capsys):
+        code = self.eval_video(tmp_path, gt_frames={"1": self.FULL, "01": self.FULL})
+        self.assert_rejected(code, capsys, "frame key '01' is not a canonical integer")
+
+    def test_noncanonical_masklet_frame_key(self, tmp_path, capsys):
+        code = self.track(tmp_path, masklets=[{"id": 0, "frames": {"1": self.FULL, "01": None}}])
+        self.assert_rejected(code, capsys, "frame key '01' is not a canonical integer")
+
+    def test_noncanonical_detection_frame_key(self, tmp_path, capsys):
+        detections = {"0": [], "1": [], "01": [{**self.FULL, "score": 0.9}]}
+        code = self.track(tmp_path, detections=detections)
+        self.assert_rejected(code, capsys, "frame key '01' is not a canonical integer")
+
+    def test_masklet_id_string_alias(self, tmp_path, capsys):
+        masklets = [{"id": 1, "frames": {"0": self.FULL}}, {"id": "1", "frames": {}}]
+        code = self.track(tmp_path, masklets=masklets)
+        self.assert_rejected(code, capsys, "masklet id must be a JSON integer, got '1'")
+
+    def test_masklet_id_not_integer(self, tmp_path, capsys):
+        code = self.track(tmp_path, masklets=[{"id": "abc", "frames": {}}])
+        self.assert_rejected(code, capsys, "masklet id must be a JSON integer, got 'abc'")

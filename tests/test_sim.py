@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from phraseseg import BBox, PromptEvent, ScenarioConfig, exemplar_policy, gen_scenario
-from phraseseg import bbox_of, mask_iou
+from phraseseg import BBox, PromptEvent, RleMask, ScenarioConfig, exemplar_policy, gen_scenario
+from phraseseg import Masklet, bbox_of, mask_iou
+from phraseseg.sim import follow_reference
 
-from conftest import det, rect_mask
+from conftest import det, rect_mask, seq
 
 
 class TestScenarioConfig:
@@ -105,6 +106,61 @@ class TestGenScenario:
                 assert any(mask_iou(d.mask, g) > 0.0 for g in gt_masks)
                 found += 1
         assert found > 10
+
+
+class TestFollowReference:
+    G = 12
+
+    def r(self, x, y, w=4, h=4):
+        return rect_mask(self.G, self.G, x, y, w, h)
+
+    def masklet(self, mask, score=0.7):
+        m = Masklet(id=0, t_first=0)
+        m.masks[0], m.scores[0] = mask, score
+        return m
+
+    def reference(self):
+        # tracks 5 and 2 overlap the masklet's frame-0 mask equally (IoU 1/3);
+        # track 9 is absent on frame 0, track 4 has no frame-1 mask
+        return {
+            5: seq(self.G, self.G, {0: self.r(0, 2), 1: self.r(0, 0, 3, 3)}),
+            2: seq(self.G, self.G, {0: self.r(4, 2), 1: self.r(8, 8, 3, 3)}),
+            9: seq(self.G, self.G, {1: self.r(2, 2)}),
+            4: seq(self.G, self.G, {0: self.r(8, 0)}),
+        }
+
+    def output(self):
+        out = {tid: seq(self.G, self.G, {1: self.r(tid, tid, 2, 2)}) for tid in (2, 5, 9)}
+        return {**out, 4: seq(self.G, self.G, {})}
+
+    # (output, confidence) as the CLI and the simulator set them
+    SETTINGS = {"cli": (False, None), "sim": (True, 1.0)}
+
+    def propagator(self, setting):
+        use_output, confidence = self.SETTINGS[setting]
+        return follow_reference(
+            self.reference(), self.output() if use_output else None, confidence
+        )
+
+    @pytest.mark.parametrize("setting", ["cli", "sim"])
+    def test_tie_goes_to_lowest_track_id(self, setting):
+        mask, score = self.propagator(setting)(self.masklet(self.r(2, 2)), 1)
+        source = self.output() if setting == "sim" else self.reference()
+        assert mask == source[2].mask_at(1)
+        assert score == (1.0 if setting == "sim" else 0.7)
+
+    @pytest.mark.parametrize("setting", ["cli", "sim"])
+    @pytest.mark.parametrize(
+        "prev",
+        [
+            (8, 8),  # overlaps no track on frame 0
+            (8, 0),  # follows track 4, which has no frame-1 mask
+            None,  # empty previous mask
+        ],
+    )
+    def test_hold_previous_mask_and_score(self, setting, prev):
+        mask = RleMask.empty(self.G, self.G) if prev is None else self.r(*prev)
+        assert self.propagator(setting)(self.masklet(mask), 1) == (mask, 0.7)
 
 
 class TestExemplarPolicy:

@@ -390,3 +390,20 @@ class TestDeterminismAndScenario:
             on_object = any(volume_iou(seq, gt) > 0.5 for gt in scenario.gt_masklets)
             if not on_object:
                 assert result.masklets[mid].t_first >= cfg.frames - window
+
+    @pytest.mark.parametrize("output_delay", [0, 3])
+    def test_short_output_delay_keeps_retracted_masklets(self, output_delay):
+        # output_delay < confirmation_window: masklets are shown before their
+        # lifecycle checks end, and some are removed after being shown
+        cfg = ScenarioConfig(
+            height=64, width=64, frames=40, objects=2, fp_rate=0.8, miss_prob=0.2, seed=1
+        )
+        scenario = gen_scenario(cfg)
+        result = run(
+            scenario.detections, scenario.propagator, TrackerConfig(output_delay=output_delay)
+        )
+        assert [out.frame for out in result.outputs] == list(range(cfg.frames))
+        for m in result.masklets.values():
+            assert m.t_first == min(m.frames)
+            assert sorted(m.frames) == list(range(m.t_first, max(m.frames) + 1))
+        assert any(max(m.frames) < cfg.frames - 1 for m in result.masklets.values())
