@@ -19,6 +19,29 @@ def _report_format(path: str) -> str:
     return "csv" if str(path).lower().endswith(".csv") else "json"
 
 
+def _int_at_least(minimum: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
+
+
+def _check_annotation_index(index: int, records):
+    """Reject an ``--annotation-index`` that a datapoint, given as
+    ``(media_id, phrase, annotations)``, does not have."""
+    errors = [
+        f"datapoint ({media_id!r}, {phrase!r}) has {len(annotations)} annotation(s), "
+        f"so --annotation-index {index} is out of range"
+        for media_id, phrase, annotations in records
+        if index >= len(annotations)
+    ]
+    if errors:
+        raise ValidationError(errors)
+
+
 def _add_report_args(p: argparse.ArgumentParser):
     p.add_argument("--report", required=True, help="output report path (.json or .csv)")
     p.add_argument("--gate", type=float, default=0.5, help="confidence gate (strict >)")
@@ -37,14 +60,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", help="prediction file")
     _add_report_args(p)
     p.add_argument("--oracle", action="store_true", help="score against the best annotation")
-    p.add_argument("--annotation-index", type=int, default=0)
+    p.add_argument("--annotation-index", type=_int_at_least(0), default=0)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--micro", dest="mode", action="store_const", const="micro")
     mode.add_argument("--macro", dest="mode", action="store_const", const="macro")
     p.set_defaults(mode="micro")
     p.add_argument(
         "--random-pair",
-        type=int,
+        type=_int_at_least(1),
         metavar="TRIALS",
         help="annotator-agreement protocol: median metrics over random ordered annotation pairs",
     )
@@ -59,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
     _add_report_args(p)
-    p.add_argument("--annotation-index", type=int, default=0)
+    p.add_argument("--annotation-index", type=_int_at_least(0), default=0)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--micro", dest="mode", action="store_const", const="micro")
     mode.add_argument("--macro", dest="mode", action="store_const", const="macro")
@@ -95,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     _add_report_args(p)
     p.add_argument("--iom", type=float, default=0.5, help="NMS IoM threshold")
-    p.add_argument("--annotation-index", type=int, default=0)
+    p.add_argument("--annotation-index", type=_int_at_least(0), default=0)
     return parser
 
 
@@ -109,6 +132,9 @@ def _cmd_eval_image(args) -> int:
     if args.pred:
         preds = io_schemas.load_predictions(args.pred, dataset)
         dps, ignored = io_schemas.join_image(dataset, preds)
+        _check_annotation_index(
+            args.annotation_index, ((dp.media_id, dp.phrase, dp.annotations) for dp in dps)
+        )
         report = image_metrics.cg_f1(
             dps,
             gate_threshold=args.gate,
@@ -140,6 +166,8 @@ def _cmd_eval_image(args) -> int:
 def _cmd_eval_video(args) -> int:
     dataset = io_schemas.load_dataset(args.gt)
     preds = io_schemas.load_predictions(args.pred, dataset)
+    videos = ((r.media.id, r.phrase, r.annotations) for r in dataset.video_records)
+    _check_annotation_index(args.annotation_index, videos)
     vdps, ignored = io_schemas.join_video(dataset, preds, args.annotation_index)
     report = video_metrics.video_cg_f1(
         vdps, gate_threshold=args.gate, mode=args.mode, threads=args.threads
@@ -242,6 +270,9 @@ def _cmd_count(args) -> int:
     # Counting mode pins the presence score to 1: the concept is known present.
     preds = io_schemas.load_predictions(args.pred, dataset, use_presence=False)
     dps, ignored = io_schemas.join_image(dataset, preds)
+    _check_annotation_index(
+        args.annotation_index, ((dp.media_id, dp.phrase, dp.annotations) for dp in dps)
+    )
     pairs = []
     per_dp = []
     for dp in dps:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping, Optional, Sequence
 
 from .errors import ValidationError
@@ -81,6 +82,9 @@ class PredictionSet:
 
 
 class _Collector:
+    """Every error of one load. Loaders raise them all at their end, so a value
+    parsed next to a reported error is never returned."""
+
     def __init__(self):
         self.errors: list[str] = []
 
@@ -102,34 +106,57 @@ def _load_json(path) -> Any:
         raise ValidationError([f"{path}: invalid JSON ({exc})"])
 
 
-def _check_version(doc, where, errs: _Collector) -> bool:
-    if not isinstance(doc, dict):
-        errs.add(where, "top-level value must be a JSON object")
-        return False
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        errs.add(where, f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
-        return False
-    return True
-
-
 def _is_int(value) -> bool:
     # JSON true/false load as bool, which Python counts as int
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    # json.load also accepts NaN and Infinity, which are not JSON numbers
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
 def _is_unit(value) -> bool:
-    return (_is_int(value) or isinstance(value, float)) and 0.0 <= value <= 1.0
+    return _is_number(value) and 0.0 <= value <= 1.0
 
 
-def _frame_index(key: str) -> Optional[int]:
-    """The frame an object key names; only the canonical spelling ``str(t)``
-    counts, so that no two keys can name one frame."""
-    try:
-        idx = int(key)
-    except ValueError:
-        return None
-    return idx if str(idx) == key else None
+def _load_doc(path) -> tuple[dict, _Collector]:
+    """A versioned interchange document (a JSON object of this schema version)
+    and the collector for its errors."""
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise ValidationError([f"{path}: top-level value must be a JSON object"])
+    version = doc.get("schema_version")
+    if not _is_int(version) or version != SCHEMA_VERSION:
+        raise ValidationError(
+            [f"{path}: unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"]
+        )
+    return doc, _Collector()
+
+
+def _array(doc: dict, key: str, errs: _Collector) -> list:
+    """A required top-level array; missing is an error, not an empty file."""
+    value = doc.get(key)
+    if not isinstance(value, list):
+        errs.add(key, "required array is missing" if key not in doc else "must be a JSON array")
+        return []
+    return value
+
+
+def _frame_keyed(obj: dict, media: MediaInfo, where: str, errs: _Collector) -> dict[int, Any]:
+    """The entries of an object keyed by frame, by frame index. Only the
+    canonical spelling ``str(t)`` of a frame in the media's range is a key, so
+    no two keys can name one frame; other keys are reported and left out."""
+    out: dict[int, Any] = {}
+    for key, value in obj.items():
+        idx = int(key) if key.isascii() and key.isdigit() else None
+        if idx is None or str(idx) != key:
+            errs.add(where, f"frame key {key!r} is not a canonical integer")
+        elif not 0 <= idx < media.frames:
+            errs.add(where, f"frame {idx} outside media frame range 0..{media.frames - 1}")
+        else:
+            out[idx] = value
+    return out
 
 
 def _parse_rle(obj, media: MediaInfo, where: str, errs: _Collector) -> Optional[RleMask]:
@@ -153,26 +180,12 @@ def _parse_frame_masks(
     if not isinstance(obj, dict):
         errs.add(where, "'frames' must be an object keyed by frame index")
         return None
-    frames: dict[int, RleMask] = {}
-    ok = True
-    for key, value in obj.items():
-        idx = _frame_index(key)
-        if idx is None:
-            errs.add(where, f"frame key {key!r} is not a canonical integer")
-            ok = False
-            continue
-        if not 0 <= idx < media.frames:
-            errs.add(where, f"frame {idx} outside media frame range 0..{media.frames - 1}")
-            ok = False
-            continue
-        if value is None:
-            continue
-        mask = _parse_rle(value, media, f"{where}.frames[{key}]", errs)
-        if mask is None:
-            ok = False
-        else:
-            frames[idx] = mask
-    if not ok:
+    frames = {
+        t: _parse_rle(value, media, f"{where}.frames[{t}]", errs)
+        for t, value in _frame_keyed(obj, media, where, errs).items()
+        if value is not None
+    }
+    if any(mask is None for mask in frames.values()):
         return None
     return FrameMaskSeq(media.height, media.width, frames)
 
@@ -181,31 +194,85 @@ def _parse_media_entry(entry, where, errs: _Collector) -> Optional[MediaInfo]:
     if not isinstance(entry, dict):
         errs.add(where, "media entry must be an object")
         return None
-    try:
-        media = MediaInfo(
-            id=str(entry["id"]),
-            height=int(entry["height"]),
-            width=int(entry["width"]),
-            frames=int(entry.get("frames", 1)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        errs.add(where, f"invalid media entry ({exc})")
+    media_id = entry.get("id")
+    ok = isinstance(media_id, str) and media_id != ""
+    if not ok:
+        errs.add(where, f"media id must be a non-empty string, got {media_id!r}")
+    sizes = {key: entry.get(key) for key in ("height", "width")}
+    sizes["frames"] = entry.get("frames", 1)
+    for key, value in sizes.items():
+        if not (_is_int(value) and value > 0):
+            errs.add(where, f"{key} must be a positive integer, got {value!r}")
+            ok = False
+    return MediaInfo(id=media_id, **sizes) if ok else None
+
+
+def _parse_record(
+    rec, media: Mapping[str, MediaInfo], where: str, errs: _Collector
+) -> Optional[tuple[MediaInfo, str]]:
+    """The media and phrase of a datapoint or prediction record."""
+    if not isinstance(rec, dict):
+        errs.add(where, "record must be an object")
         return None
-    if media.height <= 0 or media.width <= 0 or media.frames <= 0:
-        errs.add(where, "media dimensions and frame count must be positive")
+    media_id, phrase = rec.get("media_id"), rec.get("phrase")
+    if not isinstance(media_id, str) or media_id not in media:
+        errs.add(where, f"unknown media id {media_id!r}")
         return None
-    return media
+    if not isinstance(phrase, str) or not phrase:
+        errs.add(where, "phrase must be a non-empty string")
+        return None
+    return media[media_id], phrase
+
+
+def _parse_instance(
+    inst, media: MediaInfo, where: str, errs: _Collector
+) -> Optional[tuple[RleMask | FrameMaskSeq, bool]]:
+    """An instance's mask and group flag: an ``RleMask`` on an image, a
+    ``FrameMaskSeq`` on a video."""
+    group = inst.get("group", False) if isinstance(inst, dict) else False
+    if not isinstance(group, bool):
+        errs.add(where, f"group must be true or false, got {group!r}")
+    if not media.is_video:
+        mask = _parse_rle(inst, media, where, errs)
+    elif isinstance(inst, dict) and "frames" in inst:
+        mask = _parse_frame_masks(inst["frames"], media, where, errs)
+    else:
+        errs.add(where, "video instance needs a 'frames' object")
+        return None
+    return None if mask is None else (mask, group)
+
+
+def _parse_score(
+    inst, where, errs: _Collector, video: Optional[MediaInfo] = None
+) -> Optional[float]:
+    """An instance's confidence. A masklet on ``video`` may give per-frame
+    scores instead, aggregated by mean."""
+    per_frame = video is not None and isinstance(inst, dict) and "score" not in inst
+    if per_frame and "frame_scores" in inst:
+        frame_scores = inst["frame_scores"]
+        values = []
+        if isinstance(frame_scores, dict):
+            keyed = _frame_keyed(frame_scores, video, f"{where}.frame_scores", errs)
+            values = list(keyed.values())
+        if not values or not all(_is_unit(v) for v in values):
+            errs.add(where, "'frame_scores' must map frames to values in [0, 1]")
+            return None
+        return float(sum(values) / len(values))
+    if not isinstance(inst, dict) or "score" not in inst:
+        errs.add(where, "instance needs a 'score'")
+        return None
+    score = inst["score"]
+    if not _is_unit(score):
+        errs.add(where, f"score must be in [0, 1], got {score!r}")
+        return None
+    return float(score)
 
 
 def load_dataset(path) -> Dataset:
     """Load and validate a ground-truth dataset file."""
-    doc = _load_json(path)
-    errs = _Collector()
-    if not _check_version(doc, str(path), errs):
-        errs.raise_if_any()
-
+    doc, errs = _load_doc(path)
     media: dict[str, MediaInfo] = {}
-    for i, entry in enumerate(doc.get("media", [])):
+    for i, entry in enumerate(_array(doc, "media", errs)):
         info = _parse_media_entry(entry, f"media[{i}]", errs)
         if info is None:
             continue
@@ -216,71 +283,40 @@ def load_dataset(path) -> Dataset:
 
     dataset = Dataset(media=media)
     seen_pairs: set[tuple[str, str]] = set()
-    for i, rec in enumerate(doc.get("datapoints", [])):
+    for i, rec in enumerate(_array(doc, "datapoints", errs)):
         where = f"datapoints[{i}]"
-        if not isinstance(rec, dict):
-            errs.add(where, "datapoint must be an object")
+        parsed = _parse_record(rec, media, where, errs)
+        if parsed is None:
             continue
-        media_id = rec.get("media_id")
-        phrase = rec.get("phrase")
-        if media_id not in media:
-            errs.add(where, f"unknown media id {media_id!r}")
+        info, phrase = parsed
+        if (info.id, phrase) in seen_pairs:
+            errs.add(where, f"duplicate datapoint for ({info.id!r}, {phrase!r})")
             continue
-        if not isinstance(phrase, str) or not phrase:
-            errs.add(where, "phrase must be a non-empty string")
-            continue
-        if (media_id, phrase) in seen_pairs:
-            errs.add(where, f"duplicate datapoint for ({media_id!r}, {phrase!r})")
-            continue
-        seen_pairs.add((media_id, phrase))
-        info = media[media_id]
+        seen_pairs.add((info.id, phrase))
         annotations_raw = rec.get("annotations")
         if not isinstance(annotations_raw, list) or not annotations_raw:
             errs.add(where, "datapoint needs at least one annotation list")
             continue
+        instance_type = VideoInstance if info.is_video else GtInstance
+        annotations = []
+        for a, ann in enumerate(annotations_raw):
+            if not isinstance(ann, list):
+                errs.add(f"{where}.annotations[{a}]", "annotation must be a list of instances")
+                continue
+            instances = []
+            for k, inst in enumerate(ann):
+                parsed = _parse_instance(inst, info, f"{where}.annotations[{a}][{k}]", errs)
+                if parsed is not None:
+                    instances.append(instance_type(*parsed))
+            annotations.append(tuple(instances))
+        if len(annotations) < len(annotations_raw):
+            continue
         if info.is_video:
-            annotations: list[tuple[VideoInstance, ...]] = []
-            broken = False
-            for a, ann in enumerate(annotations_raw):
-                instances = []
-                for k, inst in enumerate(ann if isinstance(ann, list) else []):
-                    iw = f"{where}.annotations[{a}][{k}]"
-                    if not isinstance(inst, dict) or "frames" not in inst:
-                        errs.add(iw, "video instance needs a 'frames' object")
-                        broken = True
-                        continue
-                    seq = _parse_frame_masks(inst["frames"], info, iw, errs)
-                    if seq is None:
-                        broken = True
-                        continue
-                    instances.append(VideoInstance(seq=seq, group=bool(inst.get("group", False))))
-                annotations.append(tuple(instances))
-            if not broken:
-                dataset.video_records.append(
-                    VideoRecord(media=info, phrase=phrase, annotations=tuple(annotations))
-                )
+            dataset.video_records.append(VideoRecord(info, phrase, tuple(annotations)))
         else:
-            annotations = []
-            broken = False
-            for a, ann in enumerate(annotations_raw):
-                instances = []
-                for k, inst in enumerate(ann if isinstance(ann, list) else []):
-                    iw = f"{where}.annotations[{a}][{k}]"
-                    mask = _parse_rle(inst, info, iw, errs)
-                    if mask is None:
-                        broken = True
-                        continue
-                    group = bool(inst.get("group", False)) if isinstance(inst, dict) else False
-                    instances.append(GtInstance(mask=mask, group=group))
-                annotations.append(tuple(instances))
-            if not broken:
-                dataset.image_records.append(
-                    DataPoint(
-                        media_id=media_id,
-                        phrase=phrase,
-                        annotations=tuple(annotations),
-                    )
-                )
+            dataset.image_records.append(
+                DataPoint(media_id=info.id, phrase=phrase, annotations=tuple(annotations))
+            )
     errs.raise_if_any()
     return dataset
 
@@ -292,89 +328,42 @@ def load_predictions(path, dataset: Dataset, *, use_presence: bool = True) -> Pr
     multiplied by it (set ``use_presence=False`` for counting-style runs where
     presence is pinned to 1).
     """
-    doc = _load_json(path)
-    errs = _Collector()
-    if not _check_version(doc, str(path), errs):
-        errs.raise_if_any()
-
+    doc, errs = _load_doc(path)
     preds = PredictionSet()
-    for i, rec in enumerate(doc.get("predictions", [])):
+    for i, rec in enumerate(_array(doc, "predictions", errs)):
         where = f"predictions[{i}]"
-        if not isinstance(rec, dict):
-            errs.add(where, "prediction record must be an object")
+        parsed = _parse_record(rec, dataset.media, where, errs)
+        if parsed is None:
             continue
-        media_id = rec.get("media_id")
-        phrase = rec.get("phrase")
-        if media_id not in dataset.media:
-            errs.add(where, f"unknown media id {media_id!r}")
-            continue
-        if not isinstance(phrase, str) or not phrase:
-            errs.add(where, "phrase must be a non-empty string")
-            continue
-        info = dataset.media[media_id]
+        info, phrase = parsed
         presence = rec.get("presence", 1.0)
         if not _is_unit(presence):
             errs.add(where, f"presence must be in [0, 1], got {presence!r}")
             continue
-        key = (media_id, phrase)
-        if key in (preds.video if info.is_video else preds.image):
+        key = (info.id, phrase)
+        table = preds.video if info.is_video else preds.image
+        if key in table:
             errs.add(where, f"duplicate prediction record for {key!r}")
             continue
         instances = rec.get("instances")
         if not isinstance(instances, list):
             errs.add(where, "'instances' must be a list")
             continue
-        if info.is_video:
-            masklets = []
-            for k, inst in enumerate(instances):
-                iw = f"{where}.instances[{k}]"
-                score = _parse_masklet_score(inst, iw, errs)
-                if score is None or not isinstance(inst, dict) or "frames" not in inst:
-                    if isinstance(inst, dict) and "frames" not in inst:
-                        errs.add(iw, "video instance needs a 'frames' object")
-                    continue
-                seq = _parse_frame_masks(inst["frames"], info, iw, errs)
-                if seq is None:
-                    continue
-                final = combine_scores(float(presence), score) if use_presence else score
-                masklets.append(ScoredMasklet(frames=seq, score=final))
-            preds.video[key] = tuple(masklets)
-        else:
-            dets = []
-            for k, inst in enumerate(instances):
-                iw = f"{where}.instances[{k}]"
-                score = _parse_score(inst, iw, errs)
-                mask = _parse_rle(inst, info, iw, errs)
-                if score is None or mask is None:
-                    continue
-                final = combine_scores(float(presence), score) if use_presence else score
-                dets.append(Detection(mask=mask, score=final, group=bool(inst.get("group", False))))
-            preds.image[key] = tuple(dets)
+        found = []
+        for k, inst in enumerate(instances):
+            iw = f"{where}.instances[{k}]"
+            score = _parse_score(inst, iw, errs, info if info.is_video else None)
+            parsed = _parse_instance(inst, info, iw, errs)
+            if score is None or parsed is None:
+                continue
+            mask, group = parsed
+            final = combine_scores(float(presence), score) if use_presence else score
+            found.append(
+                ScoredMasklet(mask, final) if info.is_video else Detection(mask, final, group)
+            )
+        table[key] = tuple(found)
     errs.raise_if_any()
     return preds
-
-
-def _parse_score(inst, where, errs: _Collector) -> Optional[float]:
-    if not isinstance(inst, dict) or "score" not in inst:
-        errs.add(where, "instance needs a 'score'")
-        return None
-    score = inst["score"]
-    if not _is_unit(score):
-        errs.add(where, f"score must be in [0, 1], got {score!r}")
-        return None
-    return float(score)
-
-
-def _parse_masklet_score(inst, where, errs: _Collector) -> Optional[float]:
-    """Scalar masklet confidence; per-frame scores are aggregated by mean."""
-    if isinstance(inst, dict) and "score" not in inst and "frame_scores" in inst:
-        frame_scores = inst["frame_scores"]
-        values = list(frame_scores.values()) if isinstance(frame_scores, dict) else None
-        if not values or not all(_is_unit(v) for v in values):
-            errs.add(where, "'frame_scores' must map frames to values in [0, 1]")
-            return None
-        return float(sum(values) / len(values))
-    return _parse_score(inst, where, errs)
 
 
 def join_image(dataset: Dataset, preds: PredictionSet) -> tuple[list[DataPoint], int]:
@@ -387,16 +376,8 @@ def join_image(dataset: Dataset, preds: PredictionSet) -> tuple[list[DataPoint],
     used = set()
     for rec in dataset.image_records:
         key = (rec.media_id, rec.phrase)
-        dets = preds.image.get(key, ())
         used.add(key)
-        joined.append(
-            DataPoint(
-                media_id=rec.media_id,
-                phrase=rec.phrase,
-                annotations=rec.annotations,
-                predictions=dets,
-            )
-        )
+        joined.append(replace(rec, predictions=preds.image.get(key, ())))
     ignored = sum(1 for key in preds.image if key not in used)
     return joined, ignored
 
@@ -426,17 +407,19 @@ def _frames_doc(frames: Mapping[int, Optional[RleMask]]) -> dict:
     }
 
 
-def _image_instance_doc(inst: GtInstance) -> dict:
-    doc: dict[str, Any] = {"counts": list(inst.mask.counts)}
-    if inst.group:
+def _instance_doc(
+    mask: RleMask | FrameMaskSeq, group: bool = False, score: Optional[float] = None
+) -> dict:
+    """One instance, the inverse of ``_parse_instance``; ``group`` is written
+    only when true and ``score`` only when given."""
+    if isinstance(mask, FrameMaskSeq):
+        doc: dict[str, Any] = {"frames": _frames_doc(mask.frames)}
+    else:
+        doc = {"counts": list(mask.counts)}
+    if group:
         doc["group"] = True
-    return doc
-
-
-def _video_instance_doc(inst: VideoInstance) -> dict:
-    doc: dict[str, Any] = {"frames": _frames_doc(inst.seq.frames)}
-    if inst.group:
-        doc["group"] = True
+    if score is not None:
+        doc["score"] = score
     return doc
 
 
@@ -449,7 +432,8 @@ def dataset_doc(dataset: Dataset) -> dict:
                 "media_id": rec.media_id,
                 "phrase": rec.phrase,
                 "annotations": [
-                    [_image_instance_doc(inst) for inst in ann] for ann in rec.annotations
+                    [_instance_doc(inst.mask, inst.group) for inst in ann]
+                    for ann in rec.annotations
                 ],
             }
         )
@@ -459,7 +443,8 @@ def dataset_doc(dataset: Dataset) -> dict:
                 "media_id": rec.media.id,
                 "phrase": rec.phrase,
                 "annotations": [
-                    [_video_instance_doc(inst) for inst in ann] for ann in rec.annotations
+                    [_instance_doc(inst.seq, inst.group) for inst in ann]
+                    for ann in rec.annotations
                 ],
             }
         )
@@ -474,17 +459,10 @@ def predictions_doc(preds: PredictionSet) -> dict:
     """Serialize predictions; presence factors are already folded into scores."""
     records = []
     for (media_id, phrase), dets in sorted(preds.image.items()):
-        instances = []
-        for d in dets:
-            inst: dict[str, Any] = {"counts": list(d.mask.counts), "score": d.score}
-            if d.group:
-                inst["group"] = True
-            instances.append(inst)
+        instances = [_instance_doc(d.mask, d.group, d.score) for d in dets]
         records.append({"media_id": media_id, "phrase": phrase, "instances": instances})
     for (media_id, phrase), masklets in sorted(preds.video.items()):
-        instances = [
-            {"frames": _frames_doc(sm.frames.frames), "score": sm.score} for sm in masklets
-        ]
+        instances = [_instance_doc(sm.frames, score=sm.score) for sm in masklets]
         records.append({"media_id": media_id, "phrase": phrase, "instances": instances})
     return {"schema_version": SCHEMA_VERSION, "predictions": records}
 
@@ -501,10 +479,7 @@ class DetectionStream:
 def load_detection_stream(path) -> DetectionStream:
     """Load per-frame detections. Frames are an array (one list per frame) or
     an object keyed by frame index that must cover 0..frames-1 without gaps."""
-    doc = _load_json(path)
-    errs = _Collector()
-    if not _check_version(doc, str(path), errs):
-        errs.raise_if_any()
+    doc, errs = _load_doc(path)
     media = _parse_media_entry(doc.get("media"), "media", errs)
     if media is None:
         errs.raise_if_any()
@@ -518,21 +493,11 @@ def load_detection_stream(path) -> DetectionStream:
             )
         per_frame = raw
     elif isinstance(raw, dict):
-        keys = set()
-        for key in raw:
-            idx = _frame_index(key)
-            if idx is None:
-                errs.add("detections", f"frame key {key!r} is not a canonical integer")
-            else:
-                keys.add(idx)
-        missing = sorted(set(range(media.frames)) - keys)
-        extra = sorted(keys - set(range(media.frames)))
+        keyed = _frame_keyed(raw, media, "detections", errs)
+        missing = sorted(set(range(media.frames)) - set(keyed))
         if missing:
             errs.add("detections", f"missing frames {missing}")
-        if extra:
-            errs.add("detections", f"unexpected frames {extra}")
-        if not missing and not extra:
-            per_frame = [raw[str(t)] for t in range(media.frames)]
+        per_frame = [keyed.get(t) for t in range(media.frames)]
     else:
         errs.add("detections", "must be an array of frame lists or an object keyed by frame")
     errs.raise_if_any()
@@ -558,10 +523,7 @@ def detection_stream_doc(media: MediaInfo, frames: Sequence[Sequence[Detection]]
     return {
         "schema_version": SCHEMA_VERSION,
         "media": _media_doc(media),
-        "detections": [
-            [{"counts": list(d.mask.counts), "score": d.score} for d in dets]
-            for dets in frames
-        ],
+        "detections": [[_instance_doc(d.mask, score=d.score) for d in dets] for dets in frames],
     }
 
 
@@ -591,15 +553,12 @@ def masklets_doc(media: MediaInfo, result: TrackResult) -> dict:
 
 
 def load_masklets(path) -> tuple[MediaInfo, dict[int, FrameMaskSeq]]:
-    doc = _load_json(path)
-    errs = _Collector()
-    if not _check_version(doc, str(path), errs):
-        errs.raise_if_any()
+    doc, errs = _load_doc(path)
     media = _parse_media_entry(doc.get("media"), "media", errs)
     if media is None:
         errs.raise_if_any()
     masklets: dict[int, FrameMaskSeq] = {}
-    for i, rec in enumerate(doc.get("masklets", [])):
+    for i, rec in enumerate(_array(doc, "masklets", errs)):
         where = f"masklets[{i}]"
         if not isinstance(rec, dict) or "id" not in rec or "frames" not in rec:
             errs.add(where, "masklet needs 'id' and 'frames'")
@@ -621,40 +580,46 @@ def load_masklets(path) -> tuple[MediaInfo, dict[int, FrameMaskSeq]]:
 
 # -- configs -----------------------------------------------------------------
 
+# Which JSON values a config field takes, keyed by the type its dataclass
+# declares (a string, under postponed annotations).
+_FIELD_TYPES = {
+    "int": _is_int,
+    "float": _is_number,
+    "Optional[int]": lambda v: v is None or _is_int(v),
+    "tuple[tuple[int, int, int], ...]": lambda v: isinstance(v, list)
+    and all(isinstance(t, list) and len(t) == 3 and all(map(_is_int, t)) for t in v),
+}
+
+
+def _load_config(path, cls, what: str):
+    """A config dataclass from a JSON object of some of its fields, each
+    checked against the field's declared type."""
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise ValidationError([f"{path}: {what} config must be a JSON object"])
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(doc) - set(types))
+    if unknown:
+        raise ValidationError([f"{path}: unknown {what} config fields {unknown}"])
+    errs = _Collector()
+    for name, value in doc.items():
+        if not _FIELD_TYPES[types[name]](value):
+            errs.add(str(path), f"{name} must be of type {types[name]}, got {value!r}")
+    errs.raise_if_any()
+    if "occlusions" in doc:
+        doc["occlusions"] = tuple(map(tuple, doc["occlusions"]))
+    try:
+        return cls(**doc)
+    except ValueError as exc:
+        raise ValidationError([f"{path}: {exc}"])
+
 
 def load_tracker_config(path) -> TrackerConfig:
-    doc = _load_json(path)
-    fields = dict(doc) if isinstance(doc, dict) else None
-    if fields is None:
-        raise ValidationError([f"{path}: tracker config must be a JSON object"])
-    allowed = set(TrackerConfig.__dataclass_fields__)
-    unknown = sorted(set(fields) - allowed)
-    if unknown:
-        raise ValidationError([f"{path}: unknown tracker config fields {unknown}"])
-    try:
-        return TrackerConfig(**fields)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError([f"{path}: {exc}"])
+    return _load_config(path, TrackerConfig, "tracker")
 
 
 def load_scenario_config(path) -> ScenarioConfig:
-    doc = _load_json(path)
-    fields = dict(doc) if isinstance(doc, dict) else None
-    if fields is None:
-        raise ValidationError([f"{path}: scenario config must be a JSON object"])
-    allowed = set(ScenarioConfig.__dataclass_fields__)
-    unknown = sorted(set(fields) - allowed)
-    if unknown:
-        raise ValidationError([f"{path}: unknown scenario config fields {unknown}"])
-    if "occlusions" in fields:
-        try:
-            fields["occlusions"] = tuple(tuple(int(v) for v in occ) for occ in fields["occlusions"])
-        except (TypeError, ValueError):
-            raise ValidationError([f"{path}: occlusions must be [object, first, last] triples"])
-    try:
-        return ScenarioConfig(**fields)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError([f"{path}: {exc}"])
+    return _load_config(path, ScenarioConfig, "scenario")
 
 
 # -- reports and atomic writes ------------------------------------------------

@@ -237,6 +237,51 @@ class TestConfigs:
         with pytest.raises(ValidationError):
             io.load_scenario_config(path)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"frames": True}, "frames must be of type int, got True"),
+            ({"objects": 2, "frames": 12, "occlusions": [[0, "3", 5.7]]},
+             "occlusions must be of type tuple[tuple[int, int, int], ...]"),
+            ({"height": 64.0}, "height must be of type int, got 64.0"),
+            ({"seed": 1.5}, "seed must be of type int, got 1.5"),
+            ({"fp_rate": float("inf")}, "fp_rate must be of type float, got inf"),
+        ],
+        ids=["frames-true", "occlusions-str-float", "height-float", "seed-float", "fp_rate-inf"],
+    )
+    def test_scenario_config_field_types(self, tmp_path, doc, message):
+        with pytest.raises(ValidationError) as exc:
+            io.load_scenario_config(write(tmp_path / "cfg.json", doc))
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"confirmation_window": 1.5}, "confirmation_window must be of type int, got 1.5"),
+            ({"output_delay": 2.5}, "output_delay must be of type Optional[int], got 2.5"),
+            ({"match_iou": True}, "match_iou must be of type float, got True"),
+        ],
+        ids=["confirmation_window-float", "output_delay-float", "match_iou-true"],
+    )
+    def test_tracker_config_field_types(self, tmp_path, doc, message):
+        with pytest.raises(ValidationError) as exc:
+            io.load_tracker_config(write(tmp_path / "cfg.json", doc))
+        assert message in str(exc.value)
+
+    def test_tracker_config_null_output_delay(self, tmp_path):
+        cfg = io.load_tracker_config(write(tmp_path / "cfg.json", {"output_delay": None}))
+        assert cfg.output_delay == cfg.confirmation_window
+
+    def test_every_config_field_type_is_checked(self):
+        from dataclasses import fields
+
+        from phraseseg.sim import ScenarioConfig
+        from phraseseg.tracker import TrackerConfig
+
+        for cls in (TrackerConfig, ScenarioConfig):
+            for f in fields(cls):
+                assert f.type in io._FIELD_TYPES, (cls.__name__, f.name, f.type)
+
 
 class TestCliEvalImage:
     def corpus_paths(self, tmp_path):
@@ -387,6 +432,40 @@ class TestCliEvalImage:
             ["eval-image", "--gt", gt, "--pred", pred, "--random-pair", "5", "--report", str(tmp_path / "r.json")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["eval-image", "count"])
+    def test_annotation_index_beyond_count(self, tmp_path, capsys, command):
+        gt, pred = self.corpus_paths(tmp_path)
+        code = main(
+            [command, "--gt", gt, "--pred", pred, "--annotation-index", "99", "--report", str(tmp_path / "r.json")]
+        )
+        assert code == 2
+        assert "--annotation-index 99 is out of range" in capsys.readouterr().err
+
+    def test_eval_video_annotation_index_beyond_count(self, tmp_path, capsys):
+        doc = {
+            "schema_version": 1,
+            "media": [{"id": "v", "height": 4, "width": 4, "frames": 2}],
+            "datapoints": [{"media_id": "v", "phrase": "box", "annotations": [[]]}],
+        }
+        gt = write(tmp_path / "gt.json", doc)
+        pred = write(tmp_path / "pred.json", {"schema_version": 1, "predictions": []})
+        code = main(
+            ["eval-video", "--gt", gt, "--pred", pred, "--annotation-index", "1", "--report", str(tmp_path / "r.json")]
+        )
+        assert code == 2
+        assert "datapoint ('v', 'box') has 1 annotation(s)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--annotation-index", "-1"), ("--random-pair", "-3"), ("--random-pair", "0")]
+    )
+    def test_numeric_argument_out_of_range(self, tmp_path, capsys, flag, value):
+        gt, pred = self.corpus_paths(tmp_path)
+        source = ["--pred", pred] if flag == "--annotation-index" else []
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-image", "--gt", gt, *source, flag, value, "--report", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
 
 
 class TestCliSimulateTrack:
@@ -645,7 +724,8 @@ class TestLoadersRejectCoercion:
     FULL = {"counts": [0, 16]}  # every pixel of a 4x4 grid
     VIDEO = {"id": "v", "height": 4, "width": 4, "frames": 2}
 
-    def eval_image(self, tmp_path, gt_instance=FULL, score=0.9, presence=1.0):
+    def eval_image(self, tmp_path, gt_instance=FULL, score=0.9, presence=1.0,
+                   gt_patch=None, pred_patch=None):
         gt = {
             "schema_version": 1,
             "media": [{"id": "m", "height": 4, "width": 4, "frames": 1}],
@@ -654,6 +734,9 @@ class TestLoadersRejectCoercion:
         record = {"media_id": "m", "phrase": "box", "presence": presence,
                   "instances": [{**self.FULL, "score": score}]}
         pred = {"schema_version": 1, "predictions": [record]}
+        for doc, patch in ((gt, gt_patch), (pred, pred_patch)):
+            if patch:
+                patch(doc)
         return main(["eval-image", "--gt", write(tmp_path / "gt.json", gt),
                      "--pred", write(tmp_path / "pred.json", pred),
                      "--report", str(tmp_path / "r.json")])
@@ -672,9 +755,11 @@ class TestLoadersRejectCoercion:
                      "--pred", write(tmp_path / "pred.json", pred),
                      "--report", str(tmp_path / "r.json")])
 
-    def track(self, tmp_path, detections=([], []), masklets=()):
+    def track(self, tmp_path, detections=([], []), masklets=(), tracks_patch=None):
         stream = {"schema_version": 1, "media": self.VIDEO, "detections": detections}
         tracks = {"schema_version": 1, "media": self.VIDEO, "masklets": list(masklets)}
+        if tracks_patch:
+            tracks_patch(tracks)
         return main(["track", "--detections", write(tmp_path / "d.json", stream),
                      "--out", str(tmp_path / "out.json"), "--propagator", "tracks",
                      "--tracks", write(tmp_path / "t.json", tracks)])
@@ -721,3 +806,84 @@ class TestLoadersRejectCoercion:
     def test_masklet_id_not_integer(self, tmp_path, capsys):
         code = self.track(tmp_path, masklets=[{"id": "abc", "frames": {}}])
         self.assert_rejected(code, capsys, "masklet id must be a JSON integer, got 'abc'")
+
+    def test_annotation_not_a_list(self, tmp_path, capsys):
+        code = self.eval_image(
+            tmp_path, gt_patch=lambda d: d["datapoints"][0].update(annotations=[{"oops": 1}])
+        )
+        self.assert_rejected(code, capsys, "annotations[0]: annotation must be a list of instances")
+
+    def test_null_annotation(self, tmp_path, capsys):
+        code = self.eval_image(
+            tmp_path, gt_patch=lambda d: d["datapoints"][0].update(annotations=[None])
+        )
+        self.assert_rejected(code, capsys, "annotations[0]: annotation must be a list of instances")
+
+    def test_media_height_string(self, tmp_path, capsys):
+        code = self.eval_image(tmp_path, gt_patch=lambda d: d["media"][0].update(height="4"))
+        self.assert_rejected(code, capsys, "media[0]: height must be a positive integer, got '4'")
+
+    def test_media_height_float(self, tmp_path, capsys):
+        code = self.eval_image(tmp_path, gt_patch=lambda d: d["media"][0].update(height=4.9))
+        self.assert_rejected(code, capsys, "media[0]: height must be a positive integer, got 4.9")
+
+    def test_media_height_true(self, tmp_path, capsys):
+        code = self.eval_image(tmp_path, gt_patch=lambda d: d["media"][0].update(height=True))
+        self.assert_rejected(code, capsys, "media[0]: height must be a positive integer, got True")
+
+    def test_media_id_null(self, tmp_path, capsys):
+        def null_id(gt):
+            gt["media"][0]["id"] = None
+            gt["datapoints"][0]["media_id"] = "None"
+
+        code = self.eval_image(
+            tmp_path, gt_patch=null_id, pred_patch=lambda d: d["predictions"][0].update(media_id="None")
+        )
+        self.assert_rejected(code, capsys, "media[0]: media id must be a non-empty string, got None")
+
+    def test_record_media_id_not_a_string(self, tmp_path, capsys):
+        code = self.eval_image(tmp_path, gt_patch=lambda d: d["datapoints"][0].update(media_id=["m"]))
+        self.assert_rejected(code, capsys, "datapoints[0]: unknown media id ['m']")
+
+    def test_group_string(self, tmp_path, capsys):
+        code = self.eval_image(tmp_path, gt_instance={**self.FULL, "group": "false"})
+        self.assert_rejected(code, capsys, "group must be true or false, got 'false'")
+
+    def test_schema_version_true(self, tmp_path, capsys):
+        code = self.eval_image(tmp_path, gt_patch=lambda d: d.update(schema_version=True))
+        self.assert_rejected(code, capsys, "unsupported schema_version True")
+
+    def test_pred_without_predictions_key(self, tmp_path, capsys):
+        code = self.eval_image(tmp_path, pred_patch=lambda d: d.pop("predictions"))
+        self.assert_rejected(code, capsys, "predictions: required array is missing")
+
+    def test_predictions_not_an_array(self, tmp_path, capsys):
+        code = self.eval_image(tmp_path, pred_patch=lambda d: d.update(predictions=5))
+        self.assert_rejected(code, capsys, "predictions: must be a JSON array")
+
+    def test_datapoints_not_an_array(self, tmp_path, capsys):
+        code = self.eval_image(tmp_path, gt_patch=lambda d: d.update(datapoints=5))
+        self.assert_rejected(code, capsys, "datapoints: must be a JSON array")
+
+    def test_tracks_without_masklets_key(self, tmp_path, capsys):
+        code = self.track(tmp_path, tracks_patch=lambda d: d.pop("masklets"))
+        self.assert_rejected(code, capsys, "masklets: required array is missing")
+
+    def test_masklets_not_an_array(self, tmp_path, capsys):
+        code = self.track(tmp_path, tracks_patch=lambda d: d.update(masklets=5))
+        self.assert_rejected(code, capsys, "masklets: must be a JSON array")
+
+    def test_frame_scores_key_not_integer(self, tmp_path, capsys):
+        instance = {"frames": {"0": self.FULL}, "frame_scores": {"x": 0.9}}
+        code = self.eval_video(tmp_path, pred_instance=instance)
+        self.assert_rejected(code, capsys, "frame_scores: frame key 'x' is not a canonical integer")
+
+    def test_frame_scores_key_out_of_range(self, tmp_path, capsys):
+        instance = {"frames": {"0": self.FULL}, "frame_scores": {"0": 0.9, "7": 0.1}}
+        code = self.eval_video(tmp_path, pred_instance=instance)
+        self.assert_rejected(code, capsys, "frame_scores: frame 7 outside media frame range 0..1")
+
+    def test_frame_scores_key_alias(self, tmp_path, capsys):
+        instance = {"frames": {"0": self.FULL}, "frame_scores": {"1": 0.9, "01": 0.1}}
+        code = self.eval_video(tmp_path, pred_instance=instance)
+        self.assert_rejected(code, capsys, "frame_scores: frame key '01' is not a canonical integer")
