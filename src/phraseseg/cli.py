@@ -29,9 +29,17 @@ def _int_at_least(minimum: int):
     return integer
 
 
-def _check_annotation_index(index: int, records):
-    """Reject an ``--annotation-index`` that a datapoint, given as
-    ``(media_id, phrase, annotations)``, does not have."""
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be a finite value in [0, 1], got {text}")
+    return value
+
+
+def _annotation_index(args, records) -> int:
+    """The ``--annotation-index`` (default 0), rejected if a datapoint, given
+    as ``(media_id, phrase, annotations)``, does not have it."""
+    index = args.annotation_index or 0
     errors = [
         f"datapoint ({media_id!r}, {phrase!r}) has {len(annotations)} annotation(s), "
         f"so --annotation-index {index} is out of range"
@@ -40,12 +48,14 @@ def _check_annotation_index(index: int, records):
     ]
     if errors:
         raise ValidationError(errors)
+    return index
 
 
 def _add_report_args(p: argparse.ArgumentParser):
     p.add_argument("--report", required=True, help="output report path (.json or .csv)")
-    p.add_argument("--gate", type=float, default=0.5, help="confidence gate (strict >)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for datapoint folding")
+    p.add_argument("--gate", type=_fraction, default=0.5, help="confidence gate (strict >)")
+    p.add_argument("--threads", type=_int_at_least(1), default=1, help="datapoint worker threads")
+    p.add_argument("--annotation-index", type=_int_at_least(0), help="default 0")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", help="prediction file")
     _add_report_args(p)
     p.add_argument("--oracle", action="store_true", help="score against the best annotation")
-    p.add_argument("--annotation-index", type=_int_at_least(0), default=0)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--micro", dest="mode", action="store_const", const="micro")
     mode.add_argument("--macro", dest="mode", action="store_const", const="macro")
@@ -76,13 +85,12 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="annotator-agreement upper bound over best ordered annotation pairs",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="default 0; --random-pair only")
 
     p = sub.add_parser("eval-video", help="video metrics (cgF1, VL_MCC, pHOTA)")
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
     _add_report_args(p)
-    p.add_argument("--annotation-index", type=_int_at_least(0), default=0)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--micro", dest="mode", action="store_const", const="micro")
     mode.add_argument("--macro", dest="mode", action="store_const", const="macro")
@@ -117,8 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
     _add_report_args(p)
-    p.add_argument("--iom", type=float, default=0.5, help="NMS IoM threshold")
-    p.add_argument("--annotation-index", type=_int_at_least(0), default=0)
+    p.add_argument("--iom", type=_fraction, default=0.5, help="NMS IoM threshold")
     return parser
 
 
@@ -126,28 +133,28 @@ def _cmd_eval_image(args) -> int:
     dataset = io_schemas.load_dataset(args.gt)
     protocols = sum(bool(x) for x in (args.pred, args.random_pair, args.human_oracle))
     if protocols != 1:
-        raise ValidationError(
-            ["choose exactly one of --pred, --random-pair or --human-oracle"]
-        )
+        raise ValidationError(["choose exactly one of --pred, --random-pair or --human-oracle"])
+    if not args.pred and (args.oracle or args.annotation_index is not None):
+        raise ValidationError(["--oracle and --annotation-index apply only with --pred"])
+    if not args.random_pair and args.seed is not None:
+        raise ValidationError(["--seed applies only with --random-pair"])
     if args.pred:
         preds = io_schemas.load_predictions(args.pred, dataset)
         dps, ignored = io_schemas.join_image(dataset, preds)
-        _check_annotation_index(
-            args.annotation_index, ((dp.media_id, dp.phrase, dp.annotations) for dp in dps)
-        )
+        index = _annotation_index(args, ((dp.media_id, dp.phrase, dp.annotations) for dp in dps))
         report = image_metrics.cg_f1(
             dps,
             gate_threshold=args.gate,
             mode=args.mode,
             oracle=args.oracle,
-            annotation_index=args.annotation_index,
+            annotation_index=index,
             threads=args.threads,
         )
     else:
         dps, ignored = [dp for dp in dataset.image_records], 0
         if args.random_pair:
             report = image_metrics.random_pair(
-                dps, trials=args.random_pair, seed=args.seed,
+                dps, trials=args.random_pair, seed=args.seed or 0,
                 gate_threshold=args.gate, mode=args.mode,
             )
         else:
@@ -167,8 +174,8 @@ def _cmd_eval_video(args) -> int:
     dataset = io_schemas.load_dataset(args.gt)
     preds = io_schemas.load_predictions(args.pred, dataset)
     videos = ((r.media.id, r.phrase, r.annotations) for r in dataset.video_records)
-    _check_annotation_index(args.annotation_index, videos)
-    vdps, ignored = io_schemas.join_video(dataset, preds, args.annotation_index)
+    index = _annotation_index(args, videos)
+    vdps, ignored = io_schemas.join_video(dataset, preds, index)
     report = video_metrics.video_cg_f1(
         vdps, gate_threshold=args.gate, mode=args.mode, threads=args.threads
     )
@@ -270,15 +277,13 @@ def _cmd_count(args) -> int:
     # Counting mode pins the presence score to 1: the concept is known present.
     preds = io_schemas.load_predictions(args.pred, dataset, use_presence=False)
     dps, ignored = io_schemas.join_image(dataset, preds)
-    _check_annotation_index(
-        args.annotation_index, ((dp.media_id, dp.phrase, dp.annotations) for dp in dps)
-    )
+    index = _annotation_index(args, ((dp.media_id, dp.phrase, dp.annotations) for dp in dps))
     pairs = []
     per_dp = []
     for dp in dps:
         kept = image_metrics.gate(iom_nms(list(dp.predictions), args.iom), args.gate)
         predicted = len(kept)
-        true = len(dp.annotations[args.annotation_index])
+        true = len(dp.annotations[index])
         pairs.append((predicted, true))
         per_dp.append(
             {"media_id": dp.media_id, "phrase": dp.phrase, "predicted": predicted, "true": true}

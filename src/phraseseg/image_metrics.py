@@ -19,12 +19,10 @@ import numpy as np
 
 from .errors import UndefinedMetricError
 from .masks import RleMask
-from .matching import Counts, Detection, counts_at_threshold, iou_matrix, optimal_match
+from .matching import DEFAULT_GATE, Counts, Detection, counts_at_threshold, gate, iou_matrix, optimal_match
 
 # Generated with integer arithmetic so the grid carries no accumulated float drift.
 IOU_THRESHOLDS: tuple[float, ...] = tuple((50 + 5 * k) / 100 for k in range(10))
-
-DEFAULT_GATE = 0.5
 
 
 @dataclass(frozen=True)
@@ -169,11 +167,6 @@ class MetricReport:
             rows.append(("FP", t.fp, tau))
             rows.append(("FN", t.fn, tau))
         return rows
-
-
-def gate(detections: Sequence[Detection], threshold: float = DEFAULT_GATE) -> tuple[Detection, ...]:
-    """Keep detections whose confidence is strictly greater than the gate."""
-    return tuple(d for d in detections if d.score > threshold)
 
 
 def combine_scores(presence: float, query_score: float) -> float:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -22,6 +22,16 @@ class Detection:
     def __post_init__(self):
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"detection score must be in [0, 1], got {self.score}")
+
+
+DEFAULT_GATE = 0.5
+
+Scored = TypeVar("Scored")  # anything with a ``score``: detections, scored masklets
+
+
+def gate(items: Sequence[Scored], threshold: float = DEFAULT_GATE) -> tuple[Scored, ...]:
+    """Keep the items whose confidence is strictly greater than the gate."""
+    return tuple(d for d in items if d.score > threshold)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .masks import BBox, FrameMaskSeq, RleMask, bbox_of, mask_iou, rle_encode
-from .matching import Detection, iou_matrix, optimal_match
+from .matching import Detection, gate, iou_matrix, optimal_match
 from .tracker import Masklet, Propagator
 
 MAX_PROMPT_ITERATIONS = 5
@@ -282,7 +282,7 @@ def exemplar_policy(
     if len(history) >= max_iterations:
         raise ValueError(f"prompt budget of {max_iterations} iterations exhausted")
 
-    gated = [d for d in predictions if d.score > gate_threshold]
+    gated = gate(predictions, gate_threshold)
     matrix = iou_matrix([d.mask for d in gated], list(gt_masks))
     match = optimal_match(matrix)
     hit_gts = {g for _, g, iou in match.pairs if iou >= match_iou}

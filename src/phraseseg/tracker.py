@@ -11,14 +11,15 @@ are ever shown.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .masks import FrameMaskSeq, RleMask, bbox_iou, bbox_of, mask_iou
-from .matching import Detection, optimal_match
+from .matching import Detection, gate, optimal_match
 
 Propagator = Callable[["Masklet", int], tuple[RleMask, float]]
 
@@ -73,14 +74,10 @@ class Masklet:
     deltas: dict[int, int] = field(default_factory=dict)
     zeroed: set[int] = field(default_factory=set)  # frames whose output is blanked
     lifetime_mds: int = 0
-    confirmed: bool = False
 
-    @property
-    def suppressed(self) -> bool:
-        return self.lifetime_mds < 0
 
-    def mask_at(self, frame: int) -> RleMask:
-        return self.masks[frame]
+def _indicator(ious: Iterable[float], threshold: float) -> int:
+    return 1 if any(iou > threshold for iou in ious) else -1
 
 
 def delta(masklet: Masklet, detections: Sequence[Detection], iou_threshold: float) -> int:
@@ -88,17 +85,16 @@ def delta(masklet: Masklet, detections: Sequence[Detection], iou_threshold: floa
     detection overlaps it with IoU strictly above the threshold, else -1."""
     if not masklet.masks:
         raise ValueError("masklet has no mask prediction yet")
-    frame = max(masklet.masks)
-    mask = masklet.masks[frame]
-    hit = any(mask_iou(d.mask, mask) > iou_threshold for d in detections)
-    return 1 if hit else -1
+    mask = masklet.masks[max(masklet.masks)]
+    return _indicator((mask_iou(d.mask, mask) for d in detections), iou_threshold)
 
 
 def mds(masklet: Masklet, t: int, t_prime: int) -> int:
     """Windowed detection score: sum of match indicators over [t, t'].
 
     Frames before the masklet's first appearance contribute nothing; a window
-    ending before the first appearance is a domain error.
+    ending before the first appearance is a domain error. A live tracker's
+    masklet holds only the frames a later stage can still read.
     """
     if t > t_prime:
         raise ValueError("window start must not exceed window end")
@@ -153,7 +149,7 @@ class Tracker:
         self.next_emit = 0  # next frame index to show
         self._next_id = 0
         self.masklets: dict[int, Masklet] = {}
-        self._dup_counts: dict[tuple[int, int], int] = {}
+        self._dup_counts: dict[tuple[int, int], int] = {}  # (earlier, later id) -> shared frames
         self._grid: Optional[tuple[int, int]] = None
 
     # -- per-frame protocol -------------------------------------------------
@@ -176,13 +172,10 @@ class Tracker:
                 f"propagated ids {sorted(propagated)} do not cover active ids "
                 f"{sorted(self.masklets)}"
             )
-        self._check_grid(detections, propagated)
+        self._check_grid([d.mask for d in detections] + [m for m, _ in propagated.values()])
 
-        for mid in sorted(self.masklets):
-            mask, score = propagated[mid]
-            m = self.masklets[mid]
-            m.masks[tau] = mask
-            m.scores[tau] = score
+        for mid, m in self.masklets.items():
+            m.masks[tau], m.scores[tau] = propagated[mid]
 
         # (1) associate propagated masks with detections; each masklet's IoU
         # row against this frame's detections is computed once and reused below
@@ -212,26 +205,23 @@ class Tracker:
         # (3) record the frame-wise match indicator for every active masklet
         for mid in sorted(self.masklets):
             m = self.masklets[mid]
-            d = 1 if any(v > cfg.match_iou for v in iou_rows[mid]) else -1
+            d = _indicator(iou_rows[mid], cfg.match_iou)
             m.deltas[tau] = d
             m.lifetime_mds += d
 
         # (4) drop unconfirmed masklets whose window score fell below threshold;
         # the first complete window [tau - T, tau] exists once tau reaches T
         if tau >= cfg.confirmation_window:
-            self._remove_unconfirmed(tau - cfg.confirmation_window)
+            self._remove_unconfirmed(tau - cfg.confirmation_window, tau)
 
         # (5) drop the younger of two masklets that keep sharing a detection
-        for i_pos, i in enumerate(sorted(self.masklets)):
-            for j in sorted(self.masklets)[i_pos + 1 :]:
-                shares = any(
-                    iou_rows[i][c] >= cfg.duplicate_iou
-                    and iou_rows[j][c] >= cfg.duplicate_iou
-                    for c in range(len(detections))
-                )
-                if shares:
-                    key = (i, j)
-                    self._dup_counts[key] = self._dup_counts.get(key, 0) + 1
+        for i, j in itertools.combinations(sorted(self.masklets), 2):
+            shares = any(
+                iou_rows[i][c] >= cfg.duplicate_iou and iou_rows[j][c] >= cfg.duplicate_iou
+                for c in range(len(detections))
+            )
+            if shares:
+                self._dup_counts[(i, j)] = self._dup_counts.get((i, j), 0) + 1
         if tau >= cfg.confirmation_window:
             self._remove_duplicates(tau - cfg.confirmation_window)
 
@@ -269,9 +259,9 @@ class Tracker:
 
         # (9) emit the frame whose confirmation delay just elapsed
         self.clock += 1
-        if tau - cfg.output_delay >= 0:
-            return self._emit(self.next_emit)
-        return None
+        out = self._emit(self.next_emit) if tau - cfg.output_delay >= 0 else None
+        self._prune(min(self.next_emit, self.clock - cfg.confirmation_window))
+        return out
 
     def flush(self) -> list[FrameOutput]:
         """End of stream: run the remaining (truncated-window) lifecycle checks
@@ -279,18 +269,18 @@ class Tracker:
         outputs = []
         while self.next_emit < self.clock:
             start = self.next_emit
-            self._remove_unconfirmed(start)
+            self._remove_unconfirmed(start, self.clock - 1)
             self._remove_duplicates(start)
             outputs.append(self._emit(start))
         return outputs
 
     # -- internals ----------------------------------------------------------
 
-    def _remove_unconfirmed(self, window_start: int):
-        cfg = self.config
+    def _remove_unconfirmed(self, window_start: int, window_end: int):
+        threshold = self.config.confirmation_threshold
         for mid in sorted(self.masklets):
             m = self.masklets[mid]
-            if m.t_first >= window_start and m.lifetime_mds < cfg.confirmation_threshold:
+            if m.t_first >= window_start and mds(m, window_start, window_end) < threshold:
                 self._remove(mid)
 
     def _remove_duplicates(self, window_start: int):
@@ -299,10 +289,8 @@ class Tracker:
                 continue
             if i not in self.masklets or j not in self.masklets:
                 continue
-            a, b = self.masklets[i], self.masklets[j]
-            later = b if (b.t_first, b.id) > (a.t_first, a.id) else a
-            if later.t_first >= window_start:
-                self._remove(later.id)
+            if self.masklets[j].t_first >= window_start:
+                self._remove(j)
 
     def _remove(self, mid: int):
         del self.masklets[mid]
@@ -316,22 +304,30 @@ class Tracker:
             m = self.masklets[mid]
             if m.t_first <= frame:
                 masks[mid] = None if frame in m.zeroed else m.masks[frame]
-                m.confirmed = True
         self.next_emit = frame + 1
         return FrameOutput(frame=frame, masks=masks)
 
-    def _check_grid(self, detections, propagated):
-        for det in detections:
-            self._adopt_grid(det.mask)
-        for mask, _ in propagated.values():
-            self._adopt_grid(mask)
+    def _prune(self, horizon: int):
+        """Drop per-frame state and duplicate pairs no stage can read again:
+        later lifecycle windows start at or after ``horizon``, propagators read
+        frame ``clock - 1`` and emission reads frames from ``next_emit`` on."""
+        for m in self.masklets.values():
+            for frames in (m.masks, m.scores, m.deltas):
+                for t in [t for t in frames if t < horizon]:
+                    del frames[t]
+            m.zeroed = {t for t in m.zeroed if t >= horizon}
+        self._dup_counts = {
+            (i, j): c for (i, j), c in self._dup_counts.items()
+            if self.masklets[j].t_first >= horizon
+        }
 
-    def _adopt_grid(self, mask: RleMask):
-        grid = (mask.height, mask.width)
-        if self._grid is None:
-            self._grid = grid
-        elif grid != self._grid:
-            raise ValueError(f"mask grid {grid} does not match video grid {self._grid}")
+    def _check_grid(self, masks: Sequence[RleMask]):
+        for mask in masks:
+            grid = (mask.height, mask.width)
+            if self._grid is None:
+                self._grid = grid
+            elif grid != self._grid:
+                raise ValueError(f"mask grid {grid} does not match video grid {self._grid}")
 
 
 def hold_propagator(masklet: Masklet, frame: int) -> tuple[RleMask, float]:
@@ -353,22 +349,17 @@ def run(
     """
     tracker = Tracker(config)
     outputs: list[FrameOutput] = []
-    grid: Optional[tuple[int, int]] = None
     for dets in frame_detections:
-        for d in dets:
-            grid = grid or (d.mask.height, d.mask.width)
-        gated = [d for d in dets if d.score > config.detection_gate]
         propagated = {
             mid: propagator(tracker.masklets[mid], tracker.clock)
             for mid in sorted(tracker.masklets)
         }
-        out = tracker.step(propagated, gated)
+        out = tracker.step(propagated, gate(dets, config.detection_gate))
         if out is not None:
             outputs.append(out)
     outputs.extend(tracker.flush())
 
-    if grid is None:
-        grid = tracker._grid or (1, 1)
+    grid = next(((d.mask.height, d.mask.width) for ds in frame_detections for d in ds), (1, 1))
     masklets: dict[int, EmittedMasklet] = {}
     for out in outputs:
         for mid, mask in out.masks.items():

@@ -16,9 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UndefinedMetricError
-from .image_metrics import DEFAULT_GATE, MetricReport, _fold_outcomes, _map, score_matrix
+from .image_metrics import MetricReport, _fold_outcomes, _map, score_matrix
 from .masks import FrameMaskSeq, RleMask, mask_iou, volume_iou
-from .matching import Matching, optimal_match
+from .matching import DEFAULT_GATE, Matching, gate, optimal_match
 
 # Localization threshold grid of the HOTA family (integer-derived, no drift).
 HOTA_ALPHAS: tuple[float, ...] = tuple((5 + 5 * k) / 100 for k in range(19))
@@ -78,7 +78,7 @@ def volume_iou_matrix(
 def gated_masklets(
     preds: Sequence[ScoredMasklet], gate_threshold: float = DEFAULT_GATE
 ) -> tuple[FrameMaskSeq, ...]:
-    return tuple(p.frames for p in preds if p.score > gate_threshold)
+    return tuple(p.frames for p in gate(preds, gate_threshold))
 
 
 def match_masklets(vdp: VideoDataPoint, gate_threshold: float = DEFAULT_GATE) -> Matching:

@@ -468,6 +468,77 @@ class TestCliEvalImage:
         assert f"argument {flag}: must be at least" in capsys.readouterr().err
 
 
+
+class TestCliRejectsIgnoredOrOutOfRangeFlags:
+    def paths(self, tmp_path):
+        one, two = [5, 1, 10], [5, 1, 4, 1, 5]
+        gt_doc = {
+            "schema_version": 1,
+            "media": [{"id": "m", "height": 4, "width": 4, "frames": 1}],
+            "datapoints": [
+                {"media_id": "m", "phrase": "box", "annotations": [[{"counts": two}], [{"counts": one}]]},
+                {"media_id": "m", "phrase": "void", "annotations": [[], []]},
+            ],
+        }
+        pred_doc = {
+            "schema_version": 1,
+            "predictions": [
+                {"media_id": "m", "phrase": "box", "instances": [{"counts": one, "score": 0.9}]}
+            ],
+        }
+        return write(tmp_path / "gt.json", gt_doc), write(tmp_path / "pred.json", pred_doc)
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("eval-image", "--gate", "nan"),
+            ("eval-image", "--gate", "1.5"),
+            ("eval-image", "--gate", "-0.1"),
+            ("count", "--iom", "nan"),
+            ("count", "--iom", "-1"),
+            ("eval-image", "--threads", "0"),
+            ("eval-image", "--threads", "-2"),
+        ],
+    )
+    def test_numeric_flag_out_of_range(self, tmp_path, capsys, command, flag, value):
+        gt, pred = self.paths(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--gt", gt, "--pred", pred, flag, value, "--report", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "protocol, extra, message",
+        [
+            (["--random-pair", "5"], ["--oracle"], "--oracle and --annotation-index apply only with --pred"),
+            (["--random-pair", "5"], ["--annotation-index", "1"], "apply only with --pred"),
+            (["--human-oracle"], ["--oracle"], "apply only with --pred"),
+            (["--human-oracle"], ["--annotation-index", "0"], "apply only with --pred"),
+            (["--human-oracle"], ["--seed", "3"], "--seed applies only with --random-pair"),
+            (["--pred", None], ["--seed", "3"], "--seed applies only with --random-pair"),
+        ],
+    )
+    def test_flag_ignored_by_protocol(self, tmp_path, capsys, protocol, extra, message):
+        gt, pred = self.paths(tmp_path)
+        protocol = [pred if arg is None else arg for arg in protocol]
+        code = main(["eval-image", "--gt", gt, *protocol, *extra, "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_explicit_defaults_still_accepted(self, tmp_path):
+        # an explicit --annotation-index 0 or --seed 0 reads like the default
+        gt, pred = self.paths(tmp_path)
+        reports = []
+        for extra in ([], ["--annotation-index", "0", "--threads", "1"]):
+            reports.append(tmp_path / f"pred{len(reports)}.json")
+            assert main(["eval-image", "--gt", gt, "--pred", pred, *extra, "--report", str(reports[-1])]) == 0
+        for extra in ([], ["--seed", "0", "--threads", "1"]):
+            reports.append(tmp_path / f"rp{len(reports)}.json")
+            assert main(["eval-image", "--gt", gt, "--random-pair", "5", *extra, "--report", str(reports[-1])]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+        assert reports[2].read_bytes() == reports[3].read_bytes()
+
+
 class TestCliSimulateTrack:
     def test_simulate_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "d1.json", tmp_path / "d2.json"

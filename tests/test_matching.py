@@ -180,3 +180,12 @@ class TestIomNms:
                     assert mask_iom(kept[i].mask, kept[j].mask) < 0.5
             # suppression only removes; kept detections are a subset
             assert len(kept) <= len(dets)
+
+
+class TestPublicNames:
+    def test_every_exported_name_resolves(self):
+        import phraseseg
+        from phraseseg import image_metrics, matching
+
+        assert all(hasattr(phraseseg, name) for name in phraseseg.__all__)
+        assert phraseseg.gate is image_metrics.gate is matching.gate

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+
 import pytest
 
 from phraseseg import Detection, Masklet, Tracker, TrackerConfig, delta, mds, run
@@ -407,3 +410,58 @@ class TestDeterminismAndScenario:
             assert m.t_first == min(m.frames)
             assert sorted(m.frames) == list(range(m.t_first, max(m.frames) + 1))
         assert any(max(m.frames) < cfg.frames - 1 for m in result.masklets.values())
+
+
+class TestBoundedState:
+    def test_state_bounded_by_window_on_long_stream(self):
+        # one static object, plus a spurious detection that recurs every 7
+        # frames, spawns a masklet, is suppressed and removed at window close
+        cfg = TrackerConfig()
+        bound = max(cfg.output_delay, cfg.confirmation_window) + 2
+        obj, spur = r(0, 0, 4, 4), r(15, 15, 3, 3)
+        tracker = Tracker(cfg)
+        for t in range(10_000):
+            if t == 1_000:
+                tracemalloc.start()
+            dets = [det(obj, 0.9)] + ([det(spur, 0.9)] if t % 7 == 0 else [])
+            propagated = {mid: hold_propagator(m, t) for mid, m in tracker.masklets.items()}
+            tracker.step(propagated, dets)
+            for m in tracker.masklets.values():
+                assert max(len(m.masks), len(m.scores), len(m.deltas)) <= bound
+        grown, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert 0 in tracker.masklets and tracker._next_id > 1_000
+        assert grown < 256 * 1024
+
+    CONFIGS = list(
+        itertools.product(range(6), (0, 1, 3, 15, 31), (1, 4, 15), (0, 2))
+    )
+
+    def test_pruning_leaves_outputs_unchanged(self, monkeypatch):
+        scenarios = {
+            seed: gen_scenario(
+                ScenarioConfig(
+                    height=32, width=32, frames=60, objects=2, miss_prob=0.2,
+                    fp_rate=0.8, distractor_prob=0.3, jitter_px=1, seed=seed,
+                )
+            )
+            for seed in range(6)
+        }
+
+        def outputs():
+            return [
+                run(
+                    scenarios[seed].detections,
+                    scenarios[seed].propagator,
+                    TrackerConfig(
+                        output_delay=delay,
+                        confirmation_window=window,
+                        confirmation_threshold=threshold,
+                    ),
+                ).outputs
+                for seed, delay, window, threshold in self.CONFIGS
+            ]
+
+        pruned = outputs()
+        monkeypatch.setattr(Tracker, "_prune", lambda self, horizon: None)
+        assert pruned == outputs()
