@@ -130,7 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_eval_image(args) -> int:
-    dataset = io_schemas.load_dataset(args.gt)
     protocols = sum(bool(x) for x in (args.pred, args.random_pair, args.human_oracle))
     if protocols != 1:
         raise ValidationError(["choose exactly one of --pred, --random-pair or --human-oracle"])
@@ -138,6 +137,7 @@ def _cmd_eval_image(args) -> int:
         raise ValidationError(["--oracle and --annotation-index apply only with --pred"])
     if not args.random_pair and args.seed is not None:
         raise ValidationError(["--seed applies only with --random-pair"])
+    dataset = io_schemas.load_dataset(args.gt)
     if args.pred:
         preds = io_schemas.load_predictions(args.pred, dataset)
         dps, ignored = io_schemas.join_image(dataset, preds)

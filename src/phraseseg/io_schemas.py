@@ -164,7 +164,11 @@ def _parse_rle(obj, media: MediaInfo, where: str, errs: _Collector) -> Optional[
         errs.add(where, "mask must be an object with a 'counts' array")
         return None
     counts = obj["counts"]
-    if not isinstance(counts, list) or not all(_is_int(c) and c >= 0 for c in counts):
+    if (
+        not isinstance(counts, list)
+        or not {*map(type, counts)} <= {int}  # unlike isinstance, rejects JSON true/false
+        or min(counts, default=0) < 0
+    ):
         errs.add(where, "'counts' must be a list of non-negative integers")
         return None
     try:

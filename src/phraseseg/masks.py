@@ -4,11 +4,17 @@ The RLE convention is the de-facto dataset interchange one: the pixel grid is
 scanned in column-major order and runs alternate background/foreground,
 starting with a background run that may have length zero. All values are
 immutable after construction and every operation is a pure function.
+
+The geometry kernels read areas, boxes and overlaps straight from the runs, as
+the COCO mask API does (``rleArea``, ``rleToBbox``, ``rleIou``); none of them
+decodes a mask to a dense grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Mapping, Optional
 
 import numpy as np
@@ -28,14 +34,15 @@ class RleMask:
     height: int
     width: int
     counts: tuple[int, ...]
+    area: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.height <= 0 or self.width <= 0:
             raise ValueError(f"mask grid must be non-empty, got {self.height}x{self.width}")
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(map(int, self.counts))
         if not counts:
             raise ValueError("counts must contain at least one run")
-        if any(c < 0 for c in counts):
+        if min(counts) < 0:
             raise ValueError("run lengths must be non-negative")
         total = sum(counts)
         if total != self.height * self.width:
@@ -45,10 +52,20 @@ class RleMask:
         if not _is_canonical(counts):
             counts = _canonicalize(counts)
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "area", sum(counts[1::2]))
 
-    @property
-    def area(self) -> int:
-        return sum(self.counts[1::2])
+    def _runs_box(self) -> tuple[list[int], Optional[tuple[int, int, int, int]]]:
+        """Foreground runs as flat column-major ``[start, end)`` offsets
+        ``[s0, e0, s1, e1, ...]``, and the tight inclusive box
+        ``(x0, y0, x1, y1)``, ``None`` for an empty mask. Cached."""
+        cached = self.__dict__.get("_runs_box_cache")
+        if cached is None:
+            # The cumulative sums are the run boundaries; a canonical mask's
+            # foreground runs are non-empty and separated by background.
+            runs = list(accumulate(self.counts))[: len(self.counts) // 2 * 2]
+            cached = (runs, _box_of_runs(runs, self.height))
+            object.__setattr__(self, "_runs_box_cache", cached)
+        return cached
 
     def decode(self) -> np.ndarray:
         """Dense boolean grid, shape ``(height, width)``. Cached; do not mutate."""
@@ -72,9 +89,7 @@ class RleMask:
 
 
 def _is_canonical(counts) -> bool:
-    if any(c == 0 for c in counts[1:]):
-        return False
-    return counts[0] > 0 or len(counts) > 1
+    return 0 not in counts[1:] and (counts[0] > 0 or len(counts) > 1)
 
 
 def _canonicalize(counts) -> tuple[int, ...]:
@@ -118,11 +133,60 @@ def _check_same_grid(a: RleMask, b: RleMask):
         )
 
 
+def _box_of_runs(runs: list[int], height: int) -> Optional[tuple[int, int, int, int]]:
+    if not runs:
+        return None
+    starts, lasts = runs[::2], [end - 1 for end in runs[1::2]]
+    cols = [start // height for start in starts]
+    x0, x1 = cols[0], lasts[-1] // height
+    if cols != [last // height for last in lasts]:
+        # a run wraps from row height-1 of one column to row 0 of the next
+        return x0, 0, x1, height - 1
+    return x0, min([start % height for start in starts]), x1, max([last % height for last in lasts])
+
+
+def _window(runs: list[int], lo: int, hi: int) -> tuple[int, int]:
+    """Flat indices ``(i, end)``: the runs that meet the offsets ``[lo, hi)``
+    are those starting at an even index from ``i`` up to, not including, ``end``."""
+    i = bisect_right(runs, lo)
+    return i - (i & 1), bisect_left(runs, hi, i)
+
+
 def intersection_area(a: RleMask, b: RleMask) -> int:
+    """Pixels in both masks, by merging their runs inside the boxes' overlap."""
     _check_same_grid(a, b)
     if a.area == 0 or b.area == 0:
         return 0
-    return int(np.count_nonzero(a.decode() & b.decode()))
+    ra, (ax0, ay0, ax1, ay1) = a._runs_box()
+    rb, (bx0, by0, bx1, by1) = b._runs_box()
+    if ax0 > bx1 or bx0 > ax1 or ay0 > by1 or by0 > ay1:
+        return 0
+    # every common pixel lies between these column-major offsets
+    lo = max(ax0, bx0) * a.height + max(ay0, by0)
+    hi = min(ax1, bx1) * a.height + min(ay1, by1) + 1
+    i, i_end = _window(ra, lo, hi)
+    j, j_end = _window(rb, lo, hi)
+    if i >= i_end or j >= j_end:
+        return 0
+    # two pointers: step past whichever current run ends first; max() is
+    # written inline because a builtin call per step doubles the loop's cost
+    inter = 0
+    start_a, end_a, start_b, end_b = ra[i], ra[i + 1], rb[j], rb[j + 1]
+    while True:
+        if end_a < end_b:
+            if end_a > start_b:
+                inter += end_a - (start_a if start_a > start_b else start_b)
+            i += 2
+            if i >= i_end:
+                return inter
+            start_a, end_a = ra[i], ra[i + 1]
+        else:
+            if end_b > start_a:
+                inter += end_b - (start_a if start_a > start_b else start_b)
+            j += 2
+            if j >= j_end:
+                return inter
+            start_b, end_b = rb[j], rb[j + 1]
 
 
 def mask_iou(a: RleMask, b: RleMask) -> float:
@@ -169,9 +233,7 @@ def bbox_of(mask: RleMask) -> BBox:
     """Tight bounding box of a non-empty mask."""
     if mask.area == 0:
         raise ValueError("empty mask has no bounding box")
-    rows, cols = np.nonzero(mask.decode())
-    y0, y1 = int(rows.min()), int(rows.max())
-    x0, x1 = int(cols.min()), int(cols.max())
+    x0, y0, x1, y1 = mask._runs_box()[1]
     return BBox(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
 
 
@@ -223,13 +285,6 @@ def volume_iou(a: FrameMaskSeq, b: FrameMaskSeq) -> float:
         raise ValueError("masklet grids differ")
     if a.is_empty and b.is_empty:
         raise UndefinedMetricError("volume IoU is undefined for two empty masklets")
-    inter = 0
-    union = 0
-    for t in set(a.frames) | set(b.frames):
-        ma, mb = a.mask_at(t), b.mask_at(t)
-        area_a = ma.area if ma is not None else 0
-        area_b = mb.area if mb is not None else 0
-        i = intersection_area(ma, mb) if ma is not None and mb is not None else 0
-        inter += i
-        union += area_a + area_b - i
-    return inter / union
+    common = a.frames.keys() & b.frames.keys()
+    inter = sum(intersection_area(a.frames[t], b.frames[t]) for t in common)
+    return inter / (a.volume + b.volume - inter)

@@ -58,14 +58,6 @@ class Matching:
     def gt_for(self) -> dict[int, int]:
         return {p: g for p, g, _ in self.pairs}
 
-    @property
-    def matched_preds(self) -> frozenset[int]:
-        return frozenset(p for p, _, _ in self.pairs)
-
-    @property
-    def matched_gts(self) -> frozenset[int]:
-        return frozenset(g for _, g, _ in self.pairs)
-
 
 @dataclass(frozen=True)
 class Counts:

@@ -172,9 +172,6 @@ class HotaResult:
     ass_a: float
     per_alpha: tuple[AlphaStats, ...]
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return self.hota, self.det_a, self.ass_a
-
 
 @dataclass
 class _SequenceStats:

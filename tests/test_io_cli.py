@@ -525,6 +525,15 @@ class TestCliRejectsIgnoredOrOutOfRangeFlags:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_flags_checked_before_the_dataset_is_read(self, tmp_path, capsys):
+        gt = write(tmp_path / "gt.json", {"schema_version": 1, "media": 5, "datapoints": 5})
+        code = main(["eval-image", "--gt", gt, "--human-oracle", "--seed", "3",
+                     "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--seed applies only with --random-pair" in err
+        assert "media" not in err and "datapoints" not in err
+
     def test_explicit_defaults_still_accepted(self, tmp_path):
         # an explicit --annotation-index 0 or --seed 0 reads like the default
         gt, pred = self.paths(tmp_path)

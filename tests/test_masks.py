@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phraseseg import (
     BBox,
@@ -16,7 +20,9 @@ from phraseseg import (
     rle_encode,
     volume_iou,
 )
+from phraseseg.masks import intersection_area
 
+from _reference import pixels, set_iou
 from conftest import mask_from_pixels, random_mask, seq
 
 
@@ -225,3 +231,115 @@ class TestVolumeIoU:
     def test_sequence_rejects_foreign_grid(self):
         with pytest.raises(ValueError):
             FrameMaskSeq(2, 2, {0: RleMask.empty(3, 3)})
+
+
+# -- run kernel against pixel sets ----------------------------------------------
+
+# 1xN and Nx1 grids are drawn as often as general ones
+shapes = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 12)),
+    st.tuples(st.integers(1, 12), st.just(1)),
+    st.tuples(st.integers(1, 9), st.integers(1, 9)),
+)
+
+
+@st.composite
+def grids(draw, shape):
+    """Empty, full, per-pixel random, or painted from column-major runs that
+    may wrap from the bottom of one column to the top of the next."""
+    h, w = shape
+    n = h * w
+    kind = draw(st.sampled_from(["empty", "full", "pixels", "runs"]))
+    if kind == "pixels":
+        flat = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    else:
+        flat = [kind == "full"] * n
+    if kind == "runs":
+        for start, length in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n)), max_size=4)):
+            end = min(n, start + length)
+            flat[start:end] = [True] * (end - start)
+    return np.array(flat, dtype=bool).reshape((h, w), order="F")
+
+
+@st.composite
+def touching_rects(draw):
+    """Two rectangles whose boxes share exactly one row or column, or sit
+    side by side with none shared."""
+    h, w = draw(st.tuples(st.integers(1, 9), st.integers(2, 9)))
+    x0 = draw(st.integers(0, w - 2))
+    x1 = draw(st.integers(x0, w - 2))
+    bx0 = x1 + draw(st.integers(0, 1))
+    bx1 = draw(st.integers(bx0, w - 1))
+    ya = sorted(draw(st.lists(st.integers(0, h - 1), min_size=2, max_size=2)))
+    yb = sorted(draw(st.lists(st.integers(0, h - 1), min_size=2, max_size=2)))
+    a = np.zeros((h, w), dtype=bool)
+    b = np.zeros((h, w), dtype=bool)
+    a[ya[0] : ya[1] + 1, x0 : x1 + 1] = True
+    b[yb[0] : yb[1] + 1, bx0 : bx1 + 1] = True
+    if draw(st.booleans()):
+        a, b = a.T, b.T
+    return a, b
+
+
+@st.composite
+def grid_pairs(draw):
+    shape = draw(shapes)
+    return draw(st.one_of(st.tuples(grids(shape), grids(shape)), touching_rects()))
+
+
+def counts_mask(grid) -> RleMask:
+    """The mask built from canonical counts, with the leading zero run a
+    grid whose first pixel is set needs, not through rle_encode."""
+    runs = [len(list(items)) for _, items in groupby(grid.ravel(order="F").tolist())]
+    counts = [0, *runs] if grid[0, 0] else runs
+    mask = RleMask(grid.shape[0], grid.shape[1], tuple(counts))
+    assert mask.counts == tuple(counts)
+    return mask
+
+
+class TestRunKernelMatchesPixelSets:
+    @settings(max_examples=400, deadline=None)
+    @given(grid_pairs())
+    def test_intersection_iou_iom(self, pair):
+        ga, gb = pair
+        a, b = counts_mask(ga), counts_mask(gb)
+        pa, pb = pixels(ga), pixels(gb)
+        assert intersection_area(a, b) == intersection_area(b, a) == len(pa & pb)
+        assert mask_iou(a, b) == set_iou(pa, pb)
+        if not pa and not pb:
+            with pytest.raises(UndefinedMetricError):
+                mask_iom(a, b)
+        else:
+            assert mask_iom(a, b) == (len(pa & pb) / min(len(pa), len(pb)) if pa and pb else 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shapes.flatmap(grids))
+    def test_bbox(self, grid):
+        mask, px = counts_mask(grid), pixels(grid)
+        if not px:
+            with pytest.raises(ValueError):
+                bbox_of(mask)
+            return
+        rows, cols = [r for r, _ in px], [c for _, c in px]
+        box = bbox_of(mask)
+        assert (box.x, box.y, box.x + box.w - 1, box.y + box.h - 1) == (
+            min(cols), min(rows), max(cols), max(rows)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(shapes.flatmap(lambda shape: st.tuples(
+        st.just(shape),
+        st.dictionaries(st.integers(0, 3), grids(shape), max_size=4),
+        st.dictionaries(st.integers(0, 3), grids(shape), max_size=4),
+    )))
+    def test_volume_iou(self, case):
+        (h, w), frames_a, frames_b = case
+        a = seq(h, w, {t: counts_mask(g) for t, g in frames_a.items()})
+        b = seq(h, w, {t: counts_mask(g) for t, g in frames_b.items()})
+        va = {(t, r, c) for t, g in frames_a.items() for r, c in pixels(g)}
+        vb = {(t, r, c) for t, g in frames_b.items() for r, c in pixels(g)}
+        if not va and not vb:
+            with pytest.raises(UndefinedMetricError):
+                volume_iou(a, b)
+        else:
+            assert volume_iou(a, b) == set_iou(va, vb)
