@@ -54,7 +54,7 @@ def _annotation_index(args, records) -> int:
 def _add_report_args(p: argparse.ArgumentParser):
     p.add_argument("--report", required=True, help="output report path (.json or .csv)")
     p.add_argument("--gate", type=_fraction, default=0.5, help="confidence gate (strict >)")
-    p.add_argument("--threads", type=_int_at_least(1), default=1, help="datapoint worker threads")
+    p.add_argument("--threads", type=_int_at_least(1), default=1, help="accepted; has no effect")
     p.add_argument("--annotation-index", type=_int_at_least(0), help="default 0")
 
 
@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="annotator-agreement upper bound over best ordered annotation pairs",
     )
-    p.add_argument("--seed", type=int, help="default 0; --random-pair only")
+    p.add_argument("--seed", type=_int_at_least(0), help="default 0; --random-pair only")
 
     p = sub.add_parser("eval-video", help="video metrics (cgF1, VL_MCC, pHOTA)")
     p.add_argument("--gt", required=True)
@@ -110,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic scenario")
     p.add_argument("--config", help="scenario config file (JSON)")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=_int_at_least(0), help="override the config seed")
     p.add_argument("--out-detections", required=True)
     p.add_argument("--out-gt", help="also write the ground-truth dataset file")
     p.add_argument(
@@ -148,7 +148,6 @@ def _cmd_eval_image(args) -> int:
             mode=args.mode,
             oracle=args.oracle,
             annotation_index=index,
-            threads=args.threads,
         )
     else:
         dps, ignored = [dp for dp in dataset.image_records], 0
@@ -176,9 +175,7 @@ def _cmd_eval_video(args) -> int:
     videos = ((r.media.id, r.phrase, r.annotations) for r in dataset.video_records)
     index = _annotation_index(args, videos)
     vdps, ignored = io_schemas.join_video(dataset, preds, index)
-    report = video_metrics.video_cg_f1(
-        vdps, gate_threshold=args.gate, mode=args.mode, threads=args.threads
-    )
+    report = video_metrics.video_cg_f1(vdps, gate_threshold=args.gate, mode=args.mode)
     hota_result = video_metrics.hota(video_metrics.phota_remap(vdps, args.gate))
 
     fmt = _report_format(args.report)

@@ -10,10 +10,8 @@ product scaled to 0..100.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -274,77 +272,85 @@ def _score_datapoint(
     return evals[_best(evals)]
 
 
-def _il(outcomes: Iterable[AnnotationEval]) -> ILCounts:
-    c = Counter((o.positive, o.predicted) for o in outcomes)
-    return ILCounts(
-        il_tp=c[True, True], il_tn=c[False, False], il_fp=c[False, True], il_fn=c[True, False]
-    )
+# (positive, predicted) of the presence cells TP, TN, FP, FN, in ILCounts order
+_PRESENCE_CELLS = ((True, True), (False, False), (False, True), (True, False))
 
 
-def _fold_outcomes(
-    outcomes: Sequence[AnnotationEval],
+def _fold(
+    evals: Sequence[AnnotationEval],
     mode: str,
     level: str,
     protocol: str,
     gate_threshold: float,
+    picks: Optional[np.ndarray] = None,
 ) -> MetricReport:
+    """One report from per-datapoint outcomes. Row ``r`` of ``picks`` holds,
+    per datapoint, the index into ``evals`` of its outcome in trial ``r``
+    (default: one trial of ``evals`` in order). Every field is the median over
+    trials, so a single trial gives its own report; random-pair reports keep
+    float localization counts, as medians of several trials may be fractional."""
     if mode not in ("micro", "macro"):
         raise ValueError(f"unknown aggregation mode {mode!r}")
-    positives = [o for o in outcomes if o.positive]
-    if not positives:
+    n_taus = len(IOU_THRESHOLDS)
+    if picks is None:
+        picks = np.arange(len(evals))[None]
+    # One all-zero outcome past the end stands in for negatives in the sums.
+    counts = np.zeros((len(evals) + 1, n_taus, 3), dtype=np.int64)
+    f1 = np.zeros((len(evals) + 1, n_taus))
+    flags = np.zeros((len(evals) + 1, 2), dtype=bool)
+    for e, ev in enumerate(evals):
+        counts[e] = [(c.tp, c.fp, c.fn) for c in ev.counts]
+        f1[e] = ev.f1
+        flags[e] = ev.positive, ev.predicted
+    positive, predicted = flags[picks, 0], flags[picks, 1]
+    n_pos = positive.sum(axis=1)
+    if not n_pos.all():
         raise UndefinedMetricError("localization F1 needs at least one positive datapoint")
 
-    n_taus = len(IOU_THRESHOLDS)
-    tp = [0] * n_taus
-    fp = [0] * n_taus
-    fn = [0] * n_taus
-    local_f1s: list[list[float]] = [[] for _ in range(n_taus)]
-    for o in positives:
-        for k, c in enumerate(o.counts):
-            tp[k] += c.tp
-            fp[k] += c.fp
-            fn[k] += c.fn
-            local_f1s[k].append(o.f1[k])
-
-    micro_per_tau = [
-        _f1_from_counts(Counts(tp[k], fp[k], fn[k], IOU_THRESHOLDS[k]))
-        for k in range(n_taus)
-    ]
+    summed = np.where(positive, picks, len(evals))
+    # per-trial sums are (trials, taus, 3); split the last axis into TP, FP, FN
+    tp, fp, fn = np.moveaxis(np.stack([counts[row].sum(axis=0) for row in summed]), 2, 0)
+    denom = 2 * tp + fp + fn
+    micro_per_tau = np.where(denom > 0, 2 * tp / np.maximum(denom, 1), 1.0)
     # fsum is exactly rounded, so folds are independent of datapoint order
-    macro_per_tau = [math.fsum(local_f1s[k]) / len(positives) for k in range(n_taus)]
-    micro_f1 = math.fsum(micro_per_tau) / n_taus
-    macro_f1 = math.fsum(macro_per_tau) / n_taus
-
-    il = _il(outcomes)
-    mcc = il_mcc(il)
+    macro_per_tau = np.array([
+        [math.fsum(col) / n for col in f1[row].T.tolist()]
+        for row, n in zip(summed, n_pos.tolist())
+    ])
+    micro_f1 = np.array([math.fsum(r) / n_taus for r in micro_per_tau.tolist()])
+    macro_f1 = np.array([math.fsum(r) / n_taus for r in macro_per_tau.tolist()])
+    il = np.stack([(positive == a) & (predicted == b) for a, b in _PRESENCE_CELLS], axis=2).sum(axis=1)
+    mcc = np.array([_mcc(*c) for c in il.tolist()])
     loc = micro_f1 if mode == "micro" else macro_f1
+
+    def med(values):
+        # One trial is its own median; skipping np.median there also keeps the
+        # fixed protocols from paging in numpy's partition code (about 0.5 MB).
+        return (values[0] if len(picks) == 1 else np.median(values, axis=0)).tolist()
+
+    count = float if protocol == "random-pair" else int
+    per_tau = zip(
+        IOU_THRESHOLDS,
+        *(map(count, med(a)) for a in (tp, fp, fn)),
+        med(micro_per_tau),
+        med(macro_per_tau),
+    )
     return MetricReport(
-        cg_f1=100.0 * loc * mcc,
-        localization_f1=loc,
-        micro_f1=micro_f1,
-        macro_f1=macro_f1,
-        mcc=mcc,
-        il=il,
-        per_threshold=tuple(
-            ThresholdStat(IOU_THRESHOLDS[k], tp[k], fp[k], fn[k], micro_per_tau[k], macro_per_tau[k])
-            for k in range(n_taus)
-        ),
-        n_datapoints=len(outcomes),
-        n_positive=len(positives),
-        n_negative=len(outcomes) - len(positives),
+        cg_f1=med(100.0 * loc * mcc),
+        localization_f1=med(loc),
+        micro_f1=med(micro_f1),
+        macro_f1=med(macro_f1),
+        mcc=med(mcc),
+        il=ILCounts(*map(int, med(il))),
+        per_threshold=tuple(ThresholdStat(*row) for row in per_tau),
+        n_datapoints=picks.shape[1],
+        n_positive=int(med(n_pos)),
+        n_negative=int(med(picks.shape[1] - n_pos)),
         level=level,
         mode=mode,
         protocol=protocol,
         gate=gate_threshold,
     )
-
-
-def _map(fn: Callable, items: Sequence, threads: int) -> list:
-    """``fn`` over ``items`` in order, on a thread pool when ``threads > 1``."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 def cg_f1(
@@ -354,19 +360,10 @@ def cg_f1(
     mode: str = "micro",
     oracle: bool = False,
     annotation_index: int = 0,
-    threads: int = 1,
 ) -> MetricReport:
-    """Full image report: classification-gated F1 and all sub-metrics.
-
-    Datapoints may be folded in parallel; the outcome is independent of
-    ``threads`` because accumulation is a commutative count merge.
-    """
-    outcomes = _map(
-        lambda dp: _score_datapoint(dp, gate_threshold, oracle, annotation_index), dps, threads
-    )
-    return _fold_outcomes(
-        outcomes, mode, "image", "oracle" if oracle else "fixed", gate_threshold
-    )
+    """Full image report: classification-gated F1 and all sub-metrics."""
+    outcomes = [_score_datapoint(dp, gate_threshold, oracle, annotation_index) for dp in dps]
+    return _fold(outcomes, mode, "image", "oracle" if oracle else "fixed", gate_threshold)
 
 
 def pm_f1(
@@ -403,7 +400,10 @@ def il_counts(
     annotation_index: int = 0,
 ) -> ILCounts:
     """Image-level presence confusion counts; mask quality plays no role."""
-    return _il(_score_datapoint(dp, gate_threshold, oracle, annotation_index) for dp in dps)
+    outcomes = [_score_datapoint(dp, gate_threshold, oracle, annotation_index) for dp in dps]
+    return ILCounts(*(
+        sum(o.positive == a and o.predicted == b for o in outcomes) for a, b in _PRESENCE_CELLS
+    ))
 
 
 def _mcc(tp, tn, fp, fn) -> float:
@@ -445,22 +445,15 @@ def weighted_presence_mcc(
     return _mcc(tp, tn, fp, fn)
 
 
-def _annotator_pairs(dps: Sequence[DataPoint]) -> Callable[[int, int, int], AnnotationEval]:
-    """Scorer of ordered annotation pairs: ``score(i, g, p)`` evaluates
-    annotation ``p`` of datapoint ``i``, as ungated predictions, against
-    annotation ``g``. Each pair is scored once, on first use."""
-    for dp in dps:
-        if len(dp.annotations) < 2:
-            raise ValueError("human protocols need at least 2 annotations per datapoint")
-    memo: dict[tuple[int, int, int], AnnotationEval] = {}
+def _check_annotators(dps: Sequence[DataPoint]):
+    if any(len(dp.annotations) < 2 for dp in dps):
+        raise ValueError("human protocols need at least 2 annotations per datapoint")
 
-    def score(i: int, g: int, p: int) -> AnnotationEval:
-        if (i, g, p) not in memo:
-            preds = tuple(Detection(mask=m, score=1.0) for m in dps[i].annotation_masks(p))
-            memo[i, g, p] = evaluate_annotation(preds, dps[i].annotation_masks(g))
-        return memo[i, g, p]
 
-    return score
+def _annotator_pair(dp: DataPoint, g: int, p: int) -> AnnotationEval:
+    """Annotation ``p`` of ``dp``, as ungated predictions, scored against annotation ``g``."""
+    preds = tuple(Detection(mask=m, score=1.0) for m in dp.annotation_masks(p))
+    return evaluate_annotation(preds, dp.annotation_masks(g))
 
 
 def human_oracle(
@@ -472,13 +465,13 @@ def human_oracle(
     """Upper-bound annotator agreement: per datapoint, score the best ordered
     (ground truth, prediction) pair of annotations, ties broken like
     :func:`oracle_select` and then by lowest pair index."""
-    score = _annotator_pairs(dps)
+    _check_annotators(dps)
     outcomes = []
-    for i, dp in enumerate(dps):
+    for dp in dps:
         k = len(dp.annotations)
-        evals = [score(i, g, p) for g in range(k) for p in range(k) if p != g]
+        evals = [_annotator_pair(dp, g, p) for g in range(k) for p in range(k) if p != g]
         outcomes.append(evals[_best(evals)])
-    return _fold_outcomes(outcomes, mode, "image", "oracle", gate_threshold)
+    return _fold(outcomes, mode, "image", "oracle", gate_threshold)
 
 
 def random_pair(
@@ -494,48 +487,23 @@ def random_pair(
     per-metric median across trials. Deterministic given the seed."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    score = _annotator_pairs(dps)
-
-    reports = []
-    for seq in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.default_rng(seq)
-        outcomes = []
-        for i, dp in enumerate(dps):
-            k = len(dp.annotations)
-            g = int(rng.integers(k))
-            p = int(rng.integers(k - 1))
-            if p >= g:
-                p += 1
-            outcomes.append(score(i, g, p))
-        reports.append(_fold_outcomes(outcomes, mode, "image", "random-pair", gate_threshold))
-
-    def med(pick, cast=float):
-        return cast(np.median([pick(r) for r in reports]))
-
-    return MetricReport(
-        cg_f1=med(lambda r: r.cg_f1),
-        localization_f1=med(lambda r: r.localization_f1),
-        micro_f1=med(lambda r: r.micro_f1),
-        macro_f1=med(lambda r: r.macro_f1),
-        mcc=med(lambda r: r.mcc),
-        il=_field_medians(ILCounts, [r.il for r in reports], int),
-        per_threshold=tuple(
-            _field_medians(ThresholdStat, [r.per_threshold[k] for r in reports])
-            for k in range(len(IOU_THRESHOLDS))
-        ),
-        n_datapoints=len(dps),
-        n_positive=med(lambda r: r.n_positive, int),
-        n_negative=med(lambda r: r.n_negative, int),
-        level="image",
-        mode=mode,
-        protocol="random-pair",
-        gate=gate_threshold,
-    )
-
-
-def _field_medians(cls, items: Sequence, cast: Callable = float):
-    """Field-wise median of dataclass instances ``items`` of type ``cls``."""
-    return cls(**{f.name: cast(np.median([getattr(x, f.name) for x in items])) for f in fields(cls)})
+    _check_annotators(dps)
+    # Each trial has its own generator; per datapoint with k annotations it
+    # draws g from k and p from the k - 1 others, interleaved in one call.
+    ks = np.array([len(dp.annotations) for dp in dps], dtype=np.int64)
+    highs = np.stack([ks, ks - 1], axis=1).ravel()
+    draws = np.array([
+        np.random.default_rng(child).integers(0, highs)
+        for child in np.random.SeedSequence(seed).spawn(trials)
+    ]).reshape(trials, len(dps), 2)
+    g, p = draws[..., 0], draws[..., 1]
+    p = p + (p >= g)
+    # Score each distinct (datapoint, g, p) that some trial picks, once.
+    k = int(ks.max(initial=2))
+    keys = (np.arange(len(dps)) * k + g) * k + p
+    distinct, picks = np.unique(keys, return_inverse=True)
+    evals = [_annotator_pair(dps[key // (k * k)], key // k % k, key % k) for key in distinct.tolist()]
+    return _fold(evals, mode, "image", "random-pair", gate_threshold, picks.reshape(keys.shape))
 
 
 def counting_metrics(pairs: Sequence[tuple[int, int]]) -> tuple[float, float]:

@@ -39,11 +39,11 @@ class RleMask:
     def __post_init__(self):
         if self.height <= 0 or self.width <= 0:
             raise ValueError(f"mask grid must be non-empty, got {self.height}x{self.width}")
-        counts = tuple(map(int, self.counts))
+        counts = tuple(self.counts)
         if not counts:
             raise ValueError("counts must contain at least one run")
-        if min(counts) < 0:
-            raise ValueError("run lengths must be non-negative")
+        if not {*map(type, counts)} <= {int} or min(counts) < 0:  # rejects bool and float
+            raise ValueError("run lengths must be non-negative integers")
         total = sum(counts)
         if total != self.height * self.width:
             raise ValueError(

@@ -59,6 +59,8 @@ class ScenarioConfig:
         for obj, first, last in self.occlusions:
             if not (0 <= obj < self.objects and 0 <= first <= last < self.frames):
                 raise ValueError(f"invalid occlusion window {(obj, first, last)}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UndefinedMetricError
-from .image_metrics import MetricReport, _fold_outcomes, _map, score_matrix
+from .image_metrics import MetricReport, _fold, score_matrix
 from .masks import FrameMaskSeq, RleMask, mask_iou, volume_iou
 from .matching import DEFAULT_GATE, Matching, gate, optimal_match
 
@@ -93,22 +93,19 @@ def video_cg_f1(
     *,
     gate_threshold: float = DEFAULT_GATE,
     mode: str = "macro",
-    threads: int = 1,
 ) -> MetricReport:
     """Video report: cgF1 = 100 x localization F1 x VL_MCC.
 
     The localization F1 defaults to the macro form over positive pairs; the
-    micro variant sits behind ``mode="micro"``. Pairs may be evaluated in
-    parallel; the fold is a count merge, so the result is thread-invariant.
+    micro variant sits behind ``mode="micro"``.
     """
-    outcomes = _map(
-        lambda v: score_matrix(
+    outcomes = [
+        score_matrix(
             volume_iou_matrix(gated_masklets(v.pred_masklets, gate_threshold), v.gt_masklets)
-        ),
-        vdps,
-        threads,
-    )
-    return _fold_outcomes(outcomes, mode, "video", "fixed", gate_threshold)
+        )
+        for v in vdps
+    ]
+    return _fold(outcomes, mode, "video", "fixed", gate_threshold)
 
 
 @dataclass(frozen=True)

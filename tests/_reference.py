@@ -3,7 +3,9 @@
 Nothing here shares code with the package under test beyond plain Python
 and numpy's seeded generators: matchings are found by exhaustive
 enumeration, geometry by pixel sets, and metrics by direct formula
-evaluation.
+evaluation. The one exception is :func:`reference_random_pair_report`,
+which folds each trial through the package's own fixed-protocol ``cg_f1`` so
+that a whole random-pair report can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -210,6 +212,69 @@ def reference_human_oracle(datapoints):
                     best_key, best = key, (gt_sets, [(s, 1.0) for s in pred_sets])
         chosen.append(best)
     return reference_image_metrics(chosen)
+
+
+def reference_random_pair_report(dps, trials, seed, mode="micro"):
+    """The random-pair ``MetricReport`` computed trial by trial.
+
+    Per trial, scalar draws pick an ordered (ground truth g, prediction p)
+    annotation pair for every datapoint, exactly as
+    :func:`reference_random_pair` does; the trial is folded by ``cg_f1`` on
+    datapoints whose only annotation is g and whose predictions are p's masks
+    at score 1.0; the report holds the field-wise medians over trials, with
+    presence counts and datapoint counts truncated to integers.
+    """
+    from dataclasses import fields
+
+    from phraseseg.image_metrics import (
+        DataPoint,
+        ILCounts,
+        MetricReport,
+        ThresholdStat,
+        cg_f1,
+    )
+    from phraseseg.matching import Detection
+
+    reports = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(child)
+        trial = []
+        for dp in dps:
+            k = len(dp.annotations)
+            g = int(rng.integers(k))
+            p = int(rng.integers(k - 1))
+            if p >= g:
+                p += 1
+            preds = tuple(Detection(mask=inst.mask, score=1.0) for inst in dp.annotations[p])
+            trial.append(DataPoint(dp.media_id, dp.phrase, (dp.annotations[g],), preds))
+        reports.append(cg_f1(trial, mode=mode))
+
+    def median(items, cls, cast=float):
+        return cls(**{
+            f.name: cast(np.median([getattr(x, f.name) for x in items])) for f in fields(cls)
+        })
+
+    def med(name, cast=float):
+        return cast(np.median([getattr(r, name) for r in reports]))
+
+    return MetricReport(
+        cg_f1=med("cg_f1"),
+        localization_f1=med("localization_f1"),
+        micro_f1=med("micro_f1"),
+        macro_f1=med("macro_f1"),
+        mcc=med("mcc"),
+        il=median([r.il for r in reports], ILCounts, int),
+        per_threshold=tuple(
+            median([r.per_threshold[k] for r in reports], ThresholdStat)
+            for k in range(len(reports[0].per_threshold))
+        ),
+        n_datapoints=len(dps),
+        n_positive=med("n_positive", int),
+        n_negative=med("n_negative", int),
+        level="image",
+        mode=mode,
+        protocol="random-pair",
+    )
 
 
 # -- HOTA ---------------------------------------------------------------------

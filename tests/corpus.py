@@ -81,3 +81,41 @@ def build_image_corpus(seed=20240601, n_media=8):
     gt_doc = {"schema_version": 1, "media": media, "datapoints": datapoints}
     pred_doc = {"schema_version": 1, "predictions": predictions}
     return gt_doc, pred_doc
+
+
+def build_annotator_corpus(seed=20240602, n_media=10):
+    """A small multi-annotator gold file for the annotator protocols: 3-4
+    annotators per datapoint jitter, drop or copy shared base boxes, or mark
+    the phrase absent. The first datapoint is positive for every annotator,
+    so every random-pair trial has a positive. Returns the gt_doc."""
+    rng = np.random.default_rng(seed)
+    media = []
+    datapoints = []
+    for i in range(n_media):
+        h = int(rng.integers(10, 15))
+        w = int(rng.integers(10, 15))
+        media_id = f"img{i:02d}"
+        media.append({"id": media_id, "height": h, "width": w, "frames": 1})
+        base = []
+        for _ in range(int(rng.integers(1, 4))):
+            bw, bh = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            base.append((int(rng.integers(0, w - bw + 1)), int(rng.integers(0, h - bh + 1)), bw, bh))
+        annotations = []
+        for a in range(int(rng.integers(3, 5))):
+            if i > 0 and rng.random() < 0.2:
+                boxes = []
+            elif a > 0 and rng.random() < 0.25:
+                boxes = list(annotations[int(rng.integers(a))])
+            else:
+                boxes = [
+                    (int(np.clip(x + rng.integers(-1, 2), 0, w - bw)), y, bw, bh)
+                    for x, y, bw, bh in base
+                    if i == 0 or rng.random() < 0.85
+                ]
+            annotations.append(boxes)
+        datapoints.append({
+            "media_id": media_id,
+            "phrase": "object",
+            "annotations": [[{"counts": _rect_counts(h, w, *b)} for b in ann] for ann in annotations],
+        })
+    return {"schema_version": 1, "media": media, "datapoints": datapoints}

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,12 @@ from phraseseg import (
 )
 from phraseseg.image_metrics import human_oracle, weighted_presence_mcc
 
-from _reference import reference_human_oracle, reference_image_metrics, reference_random_pair
+from _reference import (
+    reference_human_oracle,
+    reference_image_metrics,
+    reference_random_pair,
+    reference_random_pair_report,
+)
 from conftest import datapoint, det, mask_from_pixels, random_mask, rect_mask
 
 
@@ -253,21 +260,6 @@ class TestCgF1:
         assert report.mcc == pytest.approx(expected["IL_MCC"], abs=1e-12)
         assert report.cg_f1 == pytest.approx(expected["cgF1"], abs=1e-12)
 
-    def test_threads_equivalence(self, rng):
-        dps = []
-        for i in range(12):
-            gt = random_mask(rng, 4, 4, 0.6)
-            if gt.area == 0:
-                gt = m((0, 0))
-            dps.append(
-                datapoint(
-                    [gt],
-                    [det(random_mask(rng, 4, 4, 0.4), float(rng.random()))],
-                    media=str(i),
-                )
-            )
-        assert cg_f1(dps, threads=1) == cg_f1(dps, threads=8)
-
 
 class TestOracle:
     def test_single_annotation(self):
@@ -439,6 +431,38 @@ class TestAnnotatorProtocolsReference:
             random_pair(dps, trials=trials, seed=seed),
             reference_random_pair(pixel_sets, trials, seed),
         )
+
+    def assert_same_report(self, report, expected):
+        assert report == expected
+        assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("trials", [1, 2, 41])
+    def test_random_pair_report_exact(self, seed, trials):
+        # the whole report, to the last bit, and with float counts even for one trial
+        dps, _ = self.corpus(seed)
+        for mode in ("micro", "macro"):
+            self.assert_same_report(
+                random_pair(dps, trials=trials, seed=seed, mode=mode),
+                reference_random_pair_report(dps, trials, seed, mode),
+            )
+
+    def test_random_pair_report_exact_for_2_to_6_annotators(self, rng):
+        # the batched draws must reproduce the scalar draws for every k, k = 2 included
+        def annotation():
+            mask = random_mask(rng, 4, 4, 0.4)
+            return [mask] if mask.area > 0 and rng.random() < 0.7 else []
+
+        dps = [datapoint([m((0, 0))], extra_annotations=[[m((0, 0))]], media="anchor")]
+        for k in range(2, 7):
+            for j in range(3):
+                anns = [annotation() for _ in range(k)]
+                dps.append(datapoint(anns[0], extra_annotations=anns[1:], media=f"k{k}_{j}"))
+        for seed in range(5):
+            self.assert_same_report(
+                random_pair(dps, trials=7, seed=seed),
+                reference_random_pair_report(dps, 7, seed),
+            )
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_human_oracle(self, seed):

@@ -14,7 +14,7 @@ from phraseseg.matching import Detection
 from phraseseg.tracker import EmittedMasklet, TrackResult
 from phraseseg.video_metrics import ScoredMasklet
 
-from corpus import build_image_corpus
+from corpus import build_annotator_corpus, build_image_corpus
 from conftest import rect_mask
 
 DATA = Path(__file__).parent / "data"
@@ -268,6 +268,10 @@ class TestConfigs:
             io.load_tracker_config(write(tmp_path / "cfg.json", doc))
         assert message in str(exc.value)
 
+    def test_scenario_config_negative_seed(self, tmp_path):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            io.load_scenario_config(write(tmp_path / "cfg.json", {"seed": -1}))
+
     def test_tracker_config_null_output_delay(self, tmp_path):
         cfg = io.load_tracker_config(write(tmp_path / "cfg.json", {"output_delay": None}))
         assert cfg.output_delay == cfg.confirmation_window
@@ -364,6 +368,25 @@ class TestCliEvalImage:
         assert golden["macro_pF1"] == pytest.approx(expected["macro_pF1"], abs=1e-12)
         assert golden["IL_MCC"] == pytest.approx(expected["IL_MCC"], abs=1e-12)
         assert golden["cgF1"] == pytest.approx(expected["cgF1"], abs=1e-12)
+
+    @pytest.mark.parametrize("ext", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "golden,args",
+        [
+            ("golden_random_pair_1", ["--random-pair", "1"]),
+            ("golden_random_pair_41_seed7", ["--random-pair", "41", "--seed", "7"]),
+            ("golden_human_oracle", ["--human-oracle"]),
+        ],
+    )
+    def test_golden_annotator_reports(self, tmp_path, golden, args, ext):
+        gt = str(DATA / "annotator_corpus_gt.json")
+        report = tmp_path / f"report.{ext}"
+        assert main(["eval-image", "--gt", gt, *args, "--report", str(report)]) == 0
+        assert report.read_bytes() == (DATA / f"{golden}.{ext}").read_bytes()
+
+    def test_annotator_gold_file_is_the_corpus(self):
+        doc = json.loads((DATA / "annotator_corpus_gt.json").read_text())
+        assert doc == build_annotator_corpus()
 
     def test_human_protocols(self, tmp_path):
         h = w = 4
@@ -506,6 +529,20 @@ class TestCliRejectsIgnoredOrOutOfRangeFlags:
             main([command, "--gt", gt, "--pred", pred, flag, value, "--report", str(tmp_path / "r.json")])
         assert exc.value.code == 2
         assert f"argument {flag}: must be" in capsys.readouterr().err
+
+    def test_negative_random_pair_seed(self, tmp_path, capsys):
+        gt, _ = self.paths(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-image", "--gt", gt, "--random-pair", "2", "--seed", "-3",
+                  "--report", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        assert "argument --seed: must be at least 0" in capsys.readouterr().err
+
+    def test_negative_simulate_seed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--seed", "-1", "--out-detections", str(tmp_path / "d.json")])
+        assert exc.value.code == 2
+        assert "argument --seed: must be at least 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "protocol, extra, message",

@@ -84,6 +84,12 @@ class TestCodec:
         with pytest.raises(ValueError):
             RleMask(2, 2, (5, -1))
 
+    @pytest.mark.parametrize("counts", [(4.0,), (True, 3), (1, np.int64(3))])
+    def test_non_int_run_rejected(self, counts):
+        # run lengths are checked, not coerced with int()
+        with pytest.raises(ValueError, match="integers"):
+            RleMask(2, 2, counts)
+
     def test_non_canonical_counts_normalized(self):
         assert RleMask(2, 2, (2, 0, 2)).counts == (4,)
         assert RleMask(2, 2, (0, 2, 0, 2)).counts == (0, 4)
