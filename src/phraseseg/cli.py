@@ -12,7 +12,7 @@ from typing import Optional
 
 from . import image_metrics, io_schemas, sim, tracker, video_metrics
 from .errors import UndefinedMetricError, ValidationError
-from .matching import iom_nms
+from .matching import DEFAULT_GATE, iom_nms
 
 
 def _report_format(path: str) -> str:
@@ -36,24 +36,27 @@ def _fraction(text: str) -> float:
     return value
 
 
-def _annotation_index(args, records) -> int:
-    """The ``--annotation-index`` (default 0), rejected if a datapoint, given
-    as ``(media_id, phrase, annotations)``, does not have it."""
+def _annotation_index(args, dps) -> int:
+    """The ``--annotation-index`` (default 0), rejected if a datapoint does not have it."""
     index = args.annotation_index or 0
     errors = [
-        f"datapoint ({media_id!r}, {phrase!r}) has {len(annotations)} annotation(s), "
+        f"datapoint ({dp.media_id!r}, {dp.phrase!r}) has {len(dp.annotations)} annotation(s), "
         f"so --annotation-index {index} is out of range"
-        for media_id, phrase, annotations in records
-        if index >= len(annotations)
+        for dp in dps
+        if index >= len(dp.annotations)
     ]
     if errors:
         raise ValidationError(errors)
     return index
 
 
+def _gate(args) -> float:
+    return DEFAULT_GATE if args.gate is None else args.gate
+
+
 def _add_report_args(p: argparse.ArgumentParser):
     p.add_argument("--report", required=True, help="output report path (.json or .csv)")
-    p.add_argument("--gate", type=_fraction, default=0.5, help="confidence gate (strict >)")
+    p.add_argument("--gate", type=_fraction, help="confidence gate (strict >), default 0.5")
     p.add_argument("--threads", type=_int_at_least(1), default=1, help="accepted; has no effect")
     p.add_argument("--annotation-index", type=_int_at_least(0), help="default 0")
 
@@ -137,27 +140,25 @@ def _cmd_eval_image(args) -> int:
         raise ValidationError(["--oracle and --annotation-index apply only with --pred"])
     if not args.random_pair and args.seed is not None:
         raise ValidationError(["--seed applies only with --random-pair"])
+    if not args.pred and args.gate is not None:
+        raise ValidationError(["--gate applies only with --pred"])
     dataset = io_schemas.load_dataset(args.gt)
+    preds = io_schemas.load_predictions(args.pred, dataset) if args.pred else {}
+    dps, ignored = io_schemas.join_image(dataset, preds)
     if args.pred:
-        preds = io_schemas.load_predictions(args.pred, dataset)
-        dps, ignored = io_schemas.join_image(dataset, preds)
-        index = _annotation_index(args, ((dp.media_id, dp.phrase, dp.annotations) for dp in dps))
         report = image_metrics.cg_f1(
             dps,
-            gate_threshold=args.gate,
+            gate_threshold=_gate(args),
             mode=args.mode,
             oracle=args.oracle,
-            annotation_index=index,
+            annotation_index=_annotation_index(args, dps),
+        )
+    elif args.random_pair:
+        report = image_metrics.random_pair(
+            dps, trials=args.random_pair, seed=args.seed or 0, mode=args.mode
         )
     else:
-        dps, ignored = [dp for dp in dataset.image_records], 0
-        if args.random_pair:
-            report = image_metrics.random_pair(
-                dps, trials=args.random_pair, seed=args.seed or 0,
-                gate_threshold=args.gate, mode=args.mode,
-            )
-        else:
-            report = image_metrics.human_oracle(dps, gate_threshold=args.gate, mode=args.mode)
+        report = image_metrics.human_oracle(dps, mode=args.mode)
 
     fmt = _report_format(args.report)
     if fmt == "json":
@@ -172,11 +173,12 @@ def _cmd_eval_image(args) -> int:
 def _cmd_eval_video(args) -> int:
     dataset = io_schemas.load_dataset(args.gt)
     preds = io_schemas.load_predictions(args.pred, dataset)
-    videos = ((r.media.id, r.phrase, r.annotations) for r in dataset.video_records)
-    index = _annotation_index(args, videos)
-    vdps, ignored = io_schemas.join_video(dataset, preds, index)
-    report = video_metrics.video_cg_f1(vdps, gate_threshold=args.gate, mode=args.mode)
-    hota_result = video_metrics.hota(video_metrics.phota_remap(vdps, args.gate))
+    dps, ignored = io_schemas.join_video(dataset, preds)
+    index, gate = _annotation_index(args, dps), _gate(args)
+    report = video_metrics.video_cg_f1(
+        dps, gate_threshold=gate, mode=args.mode, annotation_index=index
+    )
+    hota_result = video_metrics.hota(video_metrics.phota_remap(dps, gate, index))
 
     fmt = _report_format(args.report)
     if fmt == "json":
@@ -250,16 +252,9 @@ def _cmd_simulate(args) -> int:
     doc = io_schemas.detection_stream_doc(media, scenario.detections)
     io_schemas.write_atomic(args.out_detections, io_schemas.dumps_json(doc))
     if args.out_gt:
-        dataset = io_schemas.Dataset(media={media.id: media})
-        dataset.video_records.append(
-            io_schemas.VideoRecord(
-                media=media,
-                phrase=args.phrase,
-                annotations=(
-                    tuple(io_schemas.VideoInstance(seq=s) for s in scenario.gt_masklets),
-                ),
-            )
-        )
+        gt = tuple(image_metrics.GtInstance(s) for s in scenario.gt_masklets)
+        dp = image_metrics.DataPoint(media.id, args.phrase, (gt,))
+        dataset = io_schemas.Dataset(media={media.id: media}, records=[dp])
         gt_doc = io_schemas.dataset_doc(dataset)
         io_schemas.write_atomic(args.out_gt, io_schemas.dumps_json(gt_doc))
     if args.out_tracks:
@@ -274,11 +269,11 @@ def _cmd_count(args) -> int:
     # Counting mode pins the presence score to 1: the concept is known present.
     preds = io_schemas.load_predictions(args.pred, dataset, use_presence=False)
     dps, ignored = io_schemas.join_image(dataset, preds)
-    index = _annotation_index(args, ((dp.media_id, dp.phrase, dp.annotations) for dp in dps))
+    index, gate = _annotation_index(args, dps), _gate(args)
     pairs = []
     per_dp = []
     for dp in dps:
-        kept = image_metrics.gate(iom_nms(list(dp.predictions), args.iom), args.gate)
+        kept = image_metrics.gate(iom_nms(list(dp.predictions), args.iom), gate)
         predicted = len(kept)
         true = len(dp.annotations[index])
         pairs.append((predicted, true))
@@ -291,7 +286,7 @@ def _cmd_count(args) -> int:
         doc = {
             "metrics": {"MAE": mae, "accuracy_percent": 100.0 * accuracy},
             "iom_threshold": args.iom,
-            "gate": args.gate,
+            "gate": gate,
             "ignored_predictions": ignored,
             "datapoints": per_dp,
         }

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import UndefinedMetricError
-from .masks import RleMask
+from .masks import FrameMaskSeq, RleMask
 from .matching import DEFAULT_GATE, Counts, Detection, counts_at_threshold, gate, iou_matrix, optimal_match
 
 # Generated with integer arithmetic so the grid carries no accumulated float drift.
@@ -25,19 +25,21 @@ IOU_THRESHOLDS: tuple[float, ...] = tuple((50 + 5 * k) / 100 for k in range(10))
 
 @dataclass(frozen=True)
 class GtInstance:
-    """One ground-truth instance mask; ``group`` marks a multi-instance mask.
+    """One ground-truth instance: a mask on an image, a masklet on a video.
+    ``group`` marks a multi-instance mask.
 
     Group masks are carried through the pipeline but matched like ordinary
     instances.
     """
 
-    mask: RleMask
+    mask: RleMask | FrameMaskSeq
     group: bool = False
 
 
 @dataclass(frozen=True)
 class DataPoint:
-    """One (media, phrase) record: per-annotator ground truth plus predictions.
+    """One (media, phrase) record, image or video: per-annotator ground truth
+    plus predictions.
 
     An annotation with zero instances means the phrase is absent (a negative).
     """
@@ -60,7 +62,7 @@ class DataPoint:
                 f"datapoint {self.media_id}/{self.phrase} mixes grids: {sorted(grids)}"
             )
 
-    def annotation_masks(self, index: int) -> tuple[RleMask, ...]:
+    def annotation_masks(self, index: int) -> tuple[RleMask | FrameMaskSeq, ...]:
         return tuple(inst.mask for inst in self.annotations[index])
 
     def is_positive(self, index: int = 0) -> bool:
@@ -457,10 +459,7 @@ def _annotator_pair(dp: DataPoint, g: int, p: int) -> AnnotationEval:
 
 
 def human_oracle(
-    dps: Sequence[DataPoint],
-    *,
-    gate_threshold: float = DEFAULT_GATE,
-    mode: str = "micro",
+    dps: Sequence[DataPoint], *, mode: str = "micro"
 ) -> MetricReport:
     """Upper-bound annotator agreement: per datapoint, score the best ordered
     (ground truth, prediction) pair of annotations, ties broken like
@@ -471,7 +470,7 @@ def human_oracle(
         k = len(dp.annotations)
         evals = [_annotator_pair(dp, g, p) for g in range(k) for p in range(k) if p != g]
         outcomes.append(evals[_best(evals)])
-    return _fold(outcomes, mode, "image", "oracle", gate_threshold)
+    return _fold(outcomes, mode, "image", "oracle", DEFAULT_GATE)
 
 
 def random_pair(
@@ -479,7 +478,6 @@ def random_pair(
     trials: int = 1000,
     seed: int = 0,
     *,
-    gate_threshold: float = DEFAULT_GATE,
     mode: str = "micro",
 ) -> MetricReport:
     """Annotator-agreement protocol: per trial, draw an ordered (ground truth,
@@ -503,7 +501,7 @@ def random_pair(
     keys = (np.arange(len(dps)) * k + g) * k + p
     distinct, picks = np.unique(keys, return_inverse=True)
     evals = [_annotator_pair(dps[key // (k * k)], key // k % k, key % k) for key in distinct.tolist()]
-    return _fold(evals, mode, "image", "random-pair", gate_threshold, picks.reshape(keys.shape))
+    return _fold(evals, mode, "image", "random-pair", DEFAULT_GATE, picks.reshape(keys.shape))
 
 
 def counting_metrics(pairs: Sequence[tuple[int, int]]) -> tuple[float, float]:

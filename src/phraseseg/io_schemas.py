@@ -24,7 +24,6 @@ from .masks import FrameMaskSeq, RleMask
 from .matching import Detection
 from .sim import ScenarioConfig
 from .tracker import TrackerConfig, TrackResult
-from .video_metrics import ScoredMasklet, VideoDataPoint
 
 SCHEMA_VERSION = 1
 
@@ -41,44 +40,14 @@ class MediaInfo:
         return self.frames > 1
 
 
-@dataclass(frozen=True)
-class VideoInstance:
-    seq: FrameMaskSeq
-    group: bool = False
-
-
-@dataclass
-class VideoRecord:
-    media: MediaInfo
-    phrase: str
-    annotations: tuple[tuple[VideoInstance, ...], ...]
-
-    def datapoint(
-        self,
-        predictions: tuple[ScoredMasklet, ...] = (),
-        annotation_index: int = 0,
-    ) -> VideoDataPoint:
-        return VideoDataPoint(
-            video_id=self.media.id,
-            phrase=self.phrase,
-            gt_masklets=tuple(inst.seq for inst in self.annotations[annotation_index]),
-            pred_masklets=predictions,
-        )
-
-
 @dataclass
 class Dataset:
     media: dict[str, MediaInfo]
-    image_records: list[DataPoint] = field(default_factory=list)
-    video_records: list[VideoRecord] = field(default_factory=list)
+    records: list[DataPoint] = field(default_factory=list)  # in file order
 
 
-@dataclass
-class PredictionSet:
-    """Predictions keyed by (media_id, phrase)."""
-
-    image: dict[tuple[str, str], tuple[Detection, ...]] = field(default_factory=dict)
-    video: dict[tuple[str, str], tuple[ScoredMasklet, ...]] = field(default_factory=dict)
+# Predictions keyed by (media_id, phrase).
+PredictionSet = dict[tuple[str, str], tuple[Detection, ...]]
 
 
 class _Collector:
@@ -301,7 +270,6 @@ def load_dataset(path) -> Dataset:
         if not isinstance(annotations_raw, list) or not annotations_raw:
             errs.add(where, "datapoint needs at least one annotation list")
             continue
-        instance_type = VideoInstance if info.is_video else GtInstance
         annotations = []
         for a, ann in enumerate(annotations_raw):
             if not isinstance(ann, list):
@@ -311,16 +279,10 @@ def load_dataset(path) -> Dataset:
             for k, inst in enumerate(ann):
                 parsed = _parse_instance(inst, info, f"{where}.annotations[{a}][{k}]", errs)
                 if parsed is not None:
-                    instances.append(instance_type(*parsed))
+                    instances.append(GtInstance(*parsed))
             annotations.append(tuple(instances))
-        if len(annotations) < len(annotations_raw):
-            continue
-        if info.is_video:
-            dataset.video_records.append(VideoRecord(info, phrase, tuple(annotations)))
-        else:
-            dataset.image_records.append(
-                DataPoint(media_id=info.id, phrase=phrase, annotations=tuple(annotations))
-            )
+        if len(annotations) == len(annotations_raw):
+            dataset.records.append(DataPoint(info.id, phrase, tuple(annotations)))
     errs.raise_if_any()
     return dataset
 
@@ -333,7 +295,7 @@ def load_predictions(path, dataset: Dataset, *, use_presence: bool = True) -> Pr
     presence is pinned to 1).
     """
     doc, errs = _load_doc(path)
-    preds = PredictionSet()
+    preds: PredictionSet = {}
     for i, rec in enumerate(_array(doc, "predictions", errs)):
         where = f"predictions[{i}]"
         parsed = _parse_record(rec, dataset.media, where, errs)
@@ -345,8 +307,7 @@ def load_predictions(path, dataset: Dataset, *, use_presence: bool = True) -> Pr
             errs.add(where, f"presence must be in [0, 1], got {presence!r}")
             continue
         key = (info.id, phrase)
-        table = preds.video if info.is_video else preds.image
-        if key in table:
+        if key in preds:
             errs.add(where, f"duplicate prediction record for {key!r}")
             continue
         instances = rec.get("instances")
@@ -362,41 +323,37 @@ def load_predictions(path, dataset: Dataset, *, use_presence: bool = True) -> Pr
                 continue
             mask, group = parsed
             final = combine_scores(float(presence), score) if use_presence else score
-            found.append(
-                ScoredMasklet(mask, final) if info.is_video else Detection(mask, final, group)
-            )
-        table[key] = tuple(found)
+            found.append(Detection(mask, final, group))
+        preds[key] = tuple(found)
     errs.raise_if_any()
     return preds
 
 
-def join_image(dataset: Dataset, preds: PredictionSet) -> tuple[list[DataPoint], int]:
-    """Attach predictions to labeled image datapoints.
+def _join(dataset: Dataset, preds: PredictionSet, video: bool) -> tuple[list[DataPoint], int]:
+    """Attach predictions to the labeled datapoints on one kind of media.
 
-    Returns the joined datapoints and the number of prediction records that
-    had no labeled datapoint (ignored under the federated convention).
+    Returns the joined datapoints and the number of prediction records on that
+    kind of media that had no labeled datapoint (ignored under the federated
+    convention).
     """
-    joined = []
-    used = set()
-    for rec in dataset.image_records:
-        key = (rec.media_id, rec.phrase)
-        used.add(key)
-        joined.append(replace(rec, predictions=preds.image.get(key, ())))
-    ignored = sum(1 for key in preds.image if key not in used)
+    joined = [
+        replace(dp, predictions=preds.get((dp.media_id, dp.phrase), ()))
+        for dp in dataset.records
+        if dataset.media[dp.media_id].is_video == video
+    ]
+    labeled = {(dp.media_id, dp.phrase) for dp in dataset.records}
+    ignored = sum(
+        1 for key in preds if dataset.media[key[0]].is_video == video and key not in labeled
+    )
     return joined, ignored
 
 
-def join_video(
-    dataset: Dataset, preds: PredictionSet, annotation_index: int = 0
-) -> tuple[list[VideoDataPoint], int]:
-    joined = []
-    used = set()
-    for rec in dataset.video_records:
-        key = (rec.media.id, rec.phrase)
-        used.add(key)
-        joined.append(rec.datapoint(preds.video.get(key, ()), annotation_index))
-    ignored = sum(1 for key in preds.video if key not in used)
-    return joined, ignored
+def join_image(dataset: Dataset, preds: PredictionSet) -> tuple[list[DataPoint], int]:
+    return _join(dataset, preds, video=False)
+
+
+def join_video(dataset: Dataset, preds: PredictionSet) -> tuple[list[DataPoint], int]:
+    return _join(dataset, preds, video=True)
 
 
 def _media_doc(media: MediaInfo) -> dict:
@@ -429,44 +386,28 @@ def _instance_doc(
 
 def dataset_doc(dataset: Dataset) -> dict:
     """Serialize a dataset back into its interchange document."""
-    datapoints = []
-    for rec in dataset.image_records:
-        datapoints.append(
-            {
-                "media_id": rec.media_id,
-                "phrase": rec.phrase,
-                "annotations": [
-                    [_instance_doc(inst.mask, inst.group) for inst in ann]
-                    for ann in rec.annotations
-                ],
-            }
-        )
-    for rec in dataset.video_records:
-        datapoints.append(
-            {
-                "media_id": rec.media.id,
-                "phrase": rec.phrase,
-                "annotations": [
-                    [_instance_doc(inst.seq, inst.group) for inst in ann]
-                    for ann in rec.annotations
-                ],
-            }
-        )
     return {
         "schema_version": SCHEMA_VERSION,
         "media": [_media_doc(m) for m in sorted(dataset.media.values(), key=lambda m: m.id)],
-        "datapoints": datapoints,
+        "datapoints": [
+            {
+                "media_id": dp.media_id,
+                "phrase": dp.phrase,
+                "annotations": [
+                    [_instance_doc(inst.mask, inst.group) for inst in ann]
+                    for ann in dp.annotations
+                ],
+            }
+            for dp in dataset.records
+        ],
     }
 
 
 def predictions_doc(preds: PredictionSet) -> dict:
     """Serialize predictions; presence factors are already folded into scores."""
     records = []
-    for (media_id, phrase), dets in sorted(preds.image.items()):
+    for (media_id, phrase), dets in sorted(preds.items()):
         instances = [_instance_doc(d.mask, d.group, d.score) for d in dets]
-        records.append({"media_id": media_id, "phrase": phrase, "instances": instances})
-    for (media_id, phrase), masklets in sorted(preds.video.items()):
-        instances = [_instance_doc(sm.frames, score=sm.score) for sm in masklets]
         records.append({"media_id": media_id, "phrase": phrase, "instances": instances})
     return {"schema_version": SCHEMA_VERSION, "predictions": records}
 

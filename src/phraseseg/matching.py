@@ -3,19 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .masks import RleMask, mask_iom, mask_iou
+from .masks import FrameMaskSeq, RleMask, mask_iom, mask_iou
 
 
 @dataclass(frozen=True)
 class Detection:
-    """One scored mask proposal."""
+    """One scored proposal: a mask on an image, a masklet on a video."""
 
-    mask: RleMask
+    mask: RleMask | FrameMaskSeq
     score: float
     group: bool = False
 
@@ -26,11 +26,9 @@ class Detection:
 
 DEFAULT_GATE = 0.5
 
-Scored = TypeVar("Scored")  # anything with a ``score``: detections, scored masklets
 
-
-def gate(items: Sequence[Scored], threshold: float = DEFAULT_GATE) -> tuple[Scored, ...]:
-    """Keep the items whose confidence is strictly greater than the gate."""
+def gate(items: Sequence[Detection], threshold: float = DEFAULT_GATE) -> tuple[Detection, ...]:
+    """Keep the detections whose confidence is strictly greater than the gate."""
     return tuple(d for d in items if d.score > threshold)
 
 

@@ -14,7 +14,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .masks import BBox, FrameMaskSeq, RleMask, bbox_of, mask_iou, rle_encode
+from .masks import BBox, FrameMaskSeq, RleMask, bbox_of, mask_iou
 from .matching import Detection, gate, iou_matrix, optimal_match
 from .tracker import Masklet, Propagator
 
@@ -65,20 +65,22 @@ class ScenarioConfig:
 
 @dataclass
 class Scenario:
-    config: ScenarioConfig
     gt_masklets: tuple[FrameMaskSeq, ...]
     detections: tuple[tuple[Detection, ...], ...]
     propagator: Propagator
-    object_boxes: tuple[tuple[Optional[BBox], ...], ...]  # [object][frame]
 
 
 def _rect_mask(height: int, width: int, box: BBox) -> RleMask:
-    grid = np.zeros((height, width), dtype=bool)
+    """The box, clipped to the grid, as column-major runs: one foreground run
+    per column, with the gap to the next column's run between them."""
     x0, y0 = max(0, box.x), max(0, box.y)
     x1, y1 = min(width, box.x + box.w), min(height, box.y + box.h)
-    if x1 > x0 and y1 > y0:
-        grid[y0:y1, x0:x1] = True
-    return rle_encode(grid)
+    if x1 <= x0 or y1 <= y0:
+        return RleMask.empty(height, width)
+    fg = y1 - y0
+    counts = [x0 * height + y0, *[fg, height - fg] * (x1 - x0)]
+    counts[-1] = (width - x1 + 1) * height - y1  # the rest of the grid
+    return RleMask(height, width, tuple(counts))
 
 
 def _shifted(box: BBox, dx: int, dy: int, height: int, width: int) -> BBox:
@@ -199,7 +201,6 @@ def gen_scenario(cfg: ScenarioConfig) -> Scenario:
     )
 
     return Scenario(
-        config=cfg,
         gt_masklets=gt_seqs,
         detections=tuple(detections),
         propagator=follow_reference(
@@ -207,7 +208,6 @@ def gen_scenario(cfg: ScenarioConfig) -> Scenario:
             output={i: FrameMaskSeq(cfg.height, cfg.width, m) for i, m in enumerate(prop_masks)},
             confidence=1.0,
         ),
-        object_boxes=tuple(tuple(row) for row in boxes),
     )
 
 

@@ -16,47 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UndefinedMetricError
-from .image_metrics import MetricReport, _fold, score_matrix
+from .image_metrics import DataPoint, MetricReport, _fold, score_matrix
 from .masks import FrameMaskSeq, RleMask, mask_iou, volume_iou
-from .matching import DEFAULT_GATE, Matching, gate, optimal_match
+from .matching import DEFAULT_GATE, Detection, Matching, gate, optimal_match
 
 # Localization threshold grid of the HOTA family (integer-derived, no drift).
 HOTA_ALPHAS: tuple[float, ...] = tuple((5 + 5 * k) / 100 for k in range(19))
-
-
-@dataclass(frozen=True)
-class ScoredMasklet:
-    """A predicted masklet with its scalar confidence."""
-
-    frames: FrameMaskSeq
-    score: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"masklet score must be in [0, 1], got {self.score}")
-
-
-@dataclass(frozen=True)
-class VideoDataPoint:
-    """One (video, phrase) record; no ground-truth masklet means a negative."""
-
-    video_id: str
-    phrase: str
-    gt_masklets: tuple[FrameMaskSeq, ...]
-    pred_masklets: tuple[ScoredMasklet, ...] = ()
-
-    def __post_init__(self):
-        grids = {(s.height, s.width) for s in self.gt_masklets} | {
-            (p.frames.height, p.frames.width) for p in self.pred_masklets
-        }
-        if len(grids) > 1:
-            raise ValueError(
-                f"datapoint {self.video_id}/{self.phrase} mixes grids: {sorted(grids)}"
-            )
-
-    @property
-    def is_positive(self) -> bool:
-        return len(self.gt_masklets) > 0
 
 
 def _volume_iou_or_zero(a: FrameMaskSeq, b: FrameMaskSeq) -> float:
@@ -76,35 +41,36 @@ def volume_iou_matrix(
 
 
 def gated_masklets(
-    preds: Sequence[ScoredMasklet], gate_threshold: float = DEFAULT_GATE
+    preds: Sequence[Detection], gate_threshold: float = DEFAULT_GATE
 ) -> tuple[FrameMaskSeq, ...]:
-    return tuple(p.frames for p in gate(preds, gate_threshold))
+    return tuple(d.mask for d in gate(preds, gate_threshold))
 
 
-def match_masklets(vdp: VideoDataPoint, gate_threshold: float = DEFAULT_GATE) -> Matching:
-    """Optimal assignment of gated predicted masklets to ground truth on
-    volume IoU. Pair indices refer to the gated prediction order."""
-    preds = gated_masklets(vdp.pred_masklets, gate_threshold)
-    return optimal_match(volume_iou_matrix(preds, vdp.gt_masklets))
+def _similarity(dp: DataPoint, gate_threshold: float, annotation_index: int) -> np.ndarray:
+    """Volume IoU of the gated predicted masklets (rows) against one annotation."""
+    preds = gated_masklets(dp.predictions, gate_threshold)
+    return volume_iou_matrix(preds, dp.annotation_masks(annotation_index))
+
+
+def match_masklets(dp: DataPoint, gate_threshold: float = DEFAULT_GATE) -> Matching:
+    """Optimal assignment of gated predicted masklets to the ground truth of
+    annotation 0 on volume IoU. Pair indices refer to the gated prediction order."""
+    return optimal_match(_similarity(dp, gate_threshold, 0))
 
 
 def video_cg_f1(
-    vdps: Sequence[VideoDataPoint],
+    dps: Sequence[DataPoint],
     *,
     gate_threshold: float = DEFAULT_GATE,
     mode: str = "macro",
+    annotation_index: int = 0,
 ) -> MetricReport:
     """Video report: cgF1 = 100 x localization F1 x VL_MCC.
 
     The localization F1 defaults to the macro form over positive pairs; the
     micro variant sits behind ``mode="micro"``.
     """
-    outcomes = [
-        score_matrix(
-            volume_iou_matrix(gated_masklets(v.pred_masklets, gate_threshold), v.gt_masklets)
-        )
-        for v in vdps
-    ]
+    outcomes = [score_matrix(_similarity(dp, gate_threshold, annotation_index)) for dp in dps]
     return _fold(outcomes, mode, "video", "fixed", gate_threshold)
 
 
@@ -128,24 +94,26 @@ class RemappedTrackSet:
 
 
 def phota_remap(
-    vdps: Sequence[VideoDataPoint], gate_threshold: float = DEFAULT_GATE
+    dps: Sequence[DataPoint],
+    gate_threshold: float = DEFAULT_GATE,
+    annotation_index: int = 0,
 ) -> RemappedTrackSet:
     """Remap every (video, phrase) pair to its own synthetic video id.
 
     Masks are carried over bit-exactly; only identities change. Predicted
     masklets are gated before remapping, mirroring the evaluation gate.
     """
-    ordered = sorted(range(len(vdps)), key=lambda i: (vdps[i].video_id, vdps[i].phrase, i))
+    ordered = sorted(range(len(dps)), key=lambda i: (dps[i].media_id, dps[i].phrase, i))
     sequences = []
     for synthetic_id, i in enumerate(ordered):
-        vdp = vdps[i]
+        dp = dps[i]
         sequences.append(
             RemappedSequence(
                 synthetic_id=synthetic_id,
-                video_id=vdp.video_id,
-                phrase=vdp.phrase,
-                gt_tracks=vdp.gt_masklets,
-                pred_tracks=gated_masklets(vdp.pred_masklets, gate_threshold),
+                video_id=dp.media_id,
+                phrase=dp.phrase,
+                gt_tracks=dp.annotation_masks(annotation_index),
+                pred_tracks=gated_masklets(dp.predictions, gate_threshold),
             )
         )
     return RemappedTrackSet(tuple(sequences))
@@ -178,13 +146,15 @@ class _SequenceStats:
     ass_sum: np.ndarray  # per alpha: sum over TPs of TPA / (TPA + FNA + FPA)
 
 
-def _frame_detections(tracks: Sequence[FrameMaskSeq], t: int) -> list[tuple[int, RleMask]]:
-    dets = []
+def _frame_detections(tracks: Sequence[FrameMaskSeq], t: int) -> tuple[list[int], list[RleMask]]:
+    """The indices and masks of the tracks with a non-empty mask on frame ``t``."""
+    ids, masks = [], []
     for idx, track in enumerate(tracks):
         mask = track.mask_at(t)
         if mask is not None and mask.area > 0:
-            dets.append((idx, mask))
-    return dets
+            ids.append(idx)
+            masks.append(mask)
+    return ids, masks
 
 
 def _sequence_stats(seq: RemappedSequence) -> _SequenceStats:
@@ -206,13 +176,11 @@ def _sequence_stats(seq: RemappedSequence) -> _SequenceStats:
     potential = np.zeros((n_gt, n_pred))
     per_frame: list[tuple[list[int], list[int], np.ndarray]] = []
     for t in frames:
-        gt_dets = _frame_detections(seq.gt_tracks, t)
-        pred_dets = _frame_detections(seq.pred_tracks, t)
-        gt_ids = [i for i, _ in gt_dets]
-        pred_ids = [j for j, _ in pred_dets]
-        sim = np.zeros((len(gt_dets), len(pred_dets)))
-        for a, (_, gm) in enumerate(gt_dets):
-            for b, (_, pm) in enumerate(pred_dets):
+        gt_ids, gt_masks = _frame_detections(seq.gt_tracks, t)
+        pred_ids, pred_masks = _frame_detections(seq.pred_tracks, t)
+        sim = np.zeros((len(gt_masks), len(pred_masks)))
+        for a, gm in enumerate(gt_masks):
+            for b, pm in enumerate(pred_masks):
                 sim[a, b] = mask_iou(gm, pm)
         per_frame.append((gt_ids, pred_ids, sim))
         for i in gt_ids:

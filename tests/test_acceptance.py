@@ -33,7 +33,6 @@ from phraseseg import (
 from phraseseg.cli import main
 from phraseseg.matching import Detection
 from phraseseg.tracker import hold_propagator
-from phraseseg.video_metrics import ScoredMasklet, VideoDataPoint
 
 from _reference import brute_match, reference_hota, reference_image_metrics
 from conftest import datapoint, det, random_mask, rect_mask, seq
@@ -274,12 +273,7 @@ def test_criterion_6_end_to_end_fixed_point():
 
 
 def _vdp(gts, preds, video="v", phrase="p"):
-    return VideoDataPoint(
-        video_id=video,
-        phrase=phrase,
-        gt_masklets=tuple(gts),
-        pred_masklets=tuple(ScoredMasklet(frames=s, score=sc) for s, sc in preds),
-    )
+    return datapoint(gts, [det(s, sc) for s, sc in preds], media=video, phrase=phrase)
 
 
 def test_criterion_7_phota():

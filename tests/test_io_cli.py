@@ -12,7 +12,6 @@ from phraseseg.image_metrics import DataPoint, GtInstance
 from phraseseg.masks import FrameMaskSeq
 from phraseseg.matching import Detection
 from phraseseg.tracker import EmittedMasklet, TrackResult
-from phraseseg.video_metrics import ScoredMasklet
 
 from corpus import build_annotator_corpus, build_image_corpus
 from conftest import rect_mask
@@ -38,8 +37,8 @@ def minimal_gt_doc():
 class TestDatasetLoader:
     def test_minimal_negative_datapoint(self, tmp_path):
         dataset = io.load_dataset(write(tmp_path / "gt.json", minimal_gt_doc()))
-        assert len(dataset.image_records) == 1
-        dp = dataset.image_records[0]
+        assert len(dataset.records) == 1
+        dp = dataset.records[0]
         assert dp.annotations == ((),)
 
     def test_counts_mismatch_names_the_mask(self, tmp_path):
@@ -82,7 +81,7 @@ class TestRoundTrips:
         vmedia = io.MediaInfo(id="vid", height=6, width=6, frames=3)
         mask = rect_mask(6, 6, 1, 1, 3, 2)
         dataset = io.Dataset(media={"img": media, "vid": vmedia})
-        dataset.image_records.append(
+        dataset.records.append(
             DataPoint(
                 media_id="img",
                 phrase="box",
@@ -92,12 +91,12 @@ class TestRoundTrips:
                 ),
             )
         )
-        dataset.video_records.append(
-            io.VideoRecord(
-                media=vmedia,
+        dataset.records.append(
+            DataPoint(
+                media_id="vid",
                 phrase="box",
                 annotations=(
-                    (io.VideoInstance(seq=FrameMaskSeq(6, 6, {0: mask, 2: mask})),),
+                    (GtInstance(mask=FrameMaskSeq(6, 6, {0: mask, 2: mask})),),
                 ),
             )
         )
@@ -105,26 +104,37 @@ class TestRoundTrips:
         path.write_text(io.dumps_json(io.dataset_doc(dataset)), encoding="utf-8")
         loaded = io.load_dataset(path)
         assert loaded.media == dataset.media
-        assert loaded.image_records == dataset.image_records
-        assert loaded.video_records[0].annotations == dataset.video_records[0].annotations
+        assert loaded.records[0] == dataset.records[0]
+        assert loaded.records[1].annotations == dataset.records[1].annotations
 
     def test_predictions_round_trip(self, tmp_path):
         media = io.MediaInfo(id="img", height=6, width=6)
         vmedia = io.MediaInfo(id="vid", height=6, width=6, frames=2)
         dataset = io.Dataset(media={"img": media, "vid": vmedia})
         mask = rect_mask(6, 6, 0, 0, 2, 2)
-        preds = io.PredictionSet(
-            image={("img", "box"): (Detection(mask=mask, score=0.75),)},
-            video={
-                ("vid", "box"): (
-                    ScoredMasklet(frames=FrameMaskSeq(6, 6, {1: mask}), score=0.9),
-                )
-            },
-        )
+        preds = {
+            ("img", "box"): (Detection(mask=mask, score=0.75),),
+            ("vid", "box"): (
+                Detection(mask=FrameMaskSeq(6, 6, {1: mask}), score=0.9),
+            ),
+        }
         path = tmp_path / "pred.json"
         path.write_text(io.dumps_json(io.predictions_doc(preds)), encoding="utf-8")
         loaded = io.load_predictions(path, dataset)
         assert loaded == preds
+
+    def test_video_group_round_trip(self, tmp_path):
+        vmedia = io.MediaInfo(id="vid", height=6, width=6, frames=2)
+        dataset = io.Dataset(media={"vid": vmedia})
+        counts = list(rect_mask(6, 6, 0, 0, 2, 2).counts)
+        instance = {"frames": {"1": {"counts": counts}}, "group": True, "score": 0.9}
+        doc = {
+            "schema_version": 1,
+            "predictions": [{"media_id": "vid", "phrase": "box", "instances": [instance]}],
+        }
+        loaded = io.load_predictions(write(tmp_path / "p.json", doc), dataset)
+        assert loaded[("vid", "box")][0].group
+        assert io.predictions_doc(loaded) == doc
 
     def test_video_frame_scores_aggregated_by_mean(self, tmp_path):
         vmedia = io.MediaInfo(id="vid", height=6, width=6, frames=3)
@@ -146,7 +156,7 @@ class TestRoundTrips:
             ],
         }
         loaded = io.load_predictions(write(tmp_path / "p.json", doc), dataset)
-        assert loaded.video[("vid", "box")][0].score == pytest.approx(0.7)
+        assert loaded[("vid", "box")][0].score == pytest.approx(0.7)
 
     def test_video_frame_scores_validated(self, tmp_path):
         vmedia = io.MediaInfo(id="vid", height=6, width=6, frames=2)
@@ -553,6 +563,8 @@ class TestCliRejectsIgnoredOrOutOfRangeFlags:
             (["--human-oracle"], ["--annotation-index", "0"], "apply only with --pred"),
             (["--human-oracle"], ["--seed", "3"], "--seed applies only with --random-pair"),
             (["--pred", None], ["--seed", "3"], "--seed applies only with --random-pair"),
+            (["--random-pair", "5"], ["--gate", "0.9"], "--gate applies only with --pred"),
+            (["--human-oracle"], ["--gate", "0.5"], "--gate applies only with --pred"),
         ],
     )
     def test_flag_ignored_by_protocol(self, tmp_path, capsys, protocol, extra, message):
@@ -583,6 +595,43 @@ class TestCliRejectsIgnoredOrOutOfRangeFlags:
             assert main(["eval-image", "--gt", gt, "--random-pair", "5", *extra, "--report", str(reports[-1])]) == 0
         assert reports[0].read_bytes() == reports[1].read_bytes()
         assert reports[2].read_bytes() == reports[3].read_bytes()
+
+
+class TestCliMixedMedia:
+    def test_each_join_counts_its_own_media_kind(self, tmp_path):
+        # one file pair holding images and videos, each kind with one
+        # prediction record for an unlabeled phrase
+        one = {"counts": list(rect_mask(4, 4, 0, 0, 2, 2).counts)}
+        video = {"frames": {"0": one, "1": one}}
+        gt = write(tmp_path / "gt.json", {
+            "schema_version": 1,
+            "media": [
+                {"id": "vid", "height": 4, "width": 4, "frames": 2},
+                {"id": "img", "height": 4, "width": 4, "frames": 1},
+            ],
+            "datapoints": [
+                {"media_id": "vid", "phrase": "box", "annotations": [[video]]},
+                {"media_id": "img", "phrase": "box", "annotations": [[one]]},
+                {"media_id": "img", "phrase": "void", "annotations": [[]]},
+            ],
+        })
+        pred = write(tmp_path / "pred.json", {
+            "schema_version": 1,
+            "predictions": [
+                {"media_id": "img", "phrase": "box", "instances": [dict(one, score=0.9)]},
+                {"media_id": "img", "phrase": "ghost", "instances": []},
+                {"media_id": "vid", "phrase": "box", "instances": [dict(video, score=0.9)]},
+                {"media_id": "vid", "phrase": "ghost", "instances": []},
+            ],
+        })
+        totals = {}
+        for command in ("eval-image", "eval-video"):
+            report = tmp_path / f"{command}.json"
+            assert main([command, "--gt", gt, "--pred", pred, "--report", str(report)]) == 0
+            doc = json.loads(report.read_text())
+            assert doc["ignored_predictions"] == 1
+            totals[command] = doc["datapoints"]["total"]
+        assert totals == {"eval-image": 2, "eval-video": 1}
 
 
 class TestCliSimulateTrack:

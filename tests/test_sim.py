@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phraseseg import BBox, PromptEvent, RleMask, ScenarioConfig, exemplar_policy, gen_scenario
-from phraseseg import Masklet, bbox_of, mask_iou
-from phraseseg.sim import follow_reference
+from phraseseg import Masklet, bbox_of, mask_iou, rle_encode
+from phraseseg.sim import _rect_mask, follow_reference
 
 from conftest import det, rect_mask, seq
 
@@ -253,3 +256,20 @@ class TestExemplarPolicy:
                     mask_iou(rect_mask(16, 16, b.x, b.y, b.w, b.h), g) < 0.5
                     for b, g in [(event.box, g) for g in gt]
                 )
+
+
+class TestRectMask:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(1, 9), st.integers(1, 9),
+        st.integers(-12, 12), st.integers(-12, 12), st.integers(0, 12), st.integers(0, 12),
+    )
+    @example(6, 5, -2, 3, 4, 9)  # clipped on the left and at the bottom
+    @example(6, 5, 1, 1, 0, 3)  # empty
+    @example(6, 5, 1, 6, 2, 2)  # below the grid
+    @example(6, 5, 1, -1, 3, 8)  # full height
+    @example(6, 5, 0, 0, 5, 6)  # full grid
+    def test_equals_encoded_painted_grid(self, height, width, x, y, w, h):
+        grid = np.zeros((height, width), dtype=bool)
+        grid[max(0, y) : max(0, y + h), max(0, x) : max(0, x + w)] = True
+        assert _rect_mask(height, width, BBox(x, y, w, h)) == rle_encode(grid)

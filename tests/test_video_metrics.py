@@ -5,9 +5,7 @@ import pytest
 
 from phraseseg import (
     FrameMaskSeq,
-    ScoredMasklet,
     UndefinedMetricError,
-    VideoDataPoint,
     cg_f1,
     hota,
     match_masklets,
@@ -25,12 +23,7 @@ def m(*pixels):
 
 
 def vdp(gts, preds, video="v", phrase="thing"):
-    return VideoDataPoint(
-        video_id=video,
-        phrase=phrase,
-        gt_masklets=tuple(gts),
-        pred_masklets=tuple(ScoredMasklet(frames=s, score=sc) for s, sc in preds),
-    )
+    return datapoint(gts, [det(s, sc) for s, sc in preds], media=video, phrase=phrase)
 
 
 class TestMatchMasklets:
@@ -323,13 +316,11 @@ class TestHota:
             vdps.append(vdp(gts, preds, video=f"v{i % 2}", phrase=f"p{i}"))
         original = hota(phota_remap(vdps))
         remapped_layout = [
-            VideoDataPoint(
-                video_id=f"synthetic{s.synthetic_id}",
+            datapoint(
+                s.gt_tracks,
+                [det(tr, 1.0) for tr in s.pred_tracks],
+                media=f"synthetic{s.synthetic_id}",
                 phrase="object",
-                gt_masklets=s.gt_tracks,
-                pred_masklets=tuple(
-                    ScoredMasklet(frames=tr, score=1.0) for tr in s.pred_tracks
-                ),
             )
             for s in phota_remap(vdps).sequences
         ]
