@@ -36,6 +36,12 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _non_empty(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must be a non-empty string")
+    return text
+
+
 def _annotation_index(args, dps) -> int:
     """The ``--annotation-index`` (default 0), rejected if a datapoint does not have it."""
     index = args.annotation_index or 0
@@ -121,8 +127,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write the ground-truth masklets as reference tracks "
         "for 'track --propagator tracks'",
     )
-    p.add_argument("--media-id", default="scenario")
-    p.add_argument("--phrase", default="object")
+    p.add_argument("--media-id", type=_non_empty, default="scenario")
+    p.add_argument("--phrase", type=_non_empty, default="object")
 
     p = sub.add_parser("count", help="instance counting with IoM NMS post-processing")
     p.add_argument("--gt", required=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -52,11 +53,12 @@ class DataPoint:
     def __post_init__(self):
         if not self.annotations:
             raise ValueError(f"datapoint {self.media_id}/{self.phrase} has no annotation")
-        grids = {
-            (inst.mask.height, inst.mask.width)
-            for ann in self.annotations
-            for inst in ann
-        } | {(d.mask.height, d.mask.width) for d in self.predictions}
+        masks = [x.mask for x in chain(*self.annotations, self.predictions)]
+        if len({type(m) for m in masks}) > 1:
+            raise ValueError(
+                f"datapoint {self.media_id}/{self.phrase} mixes image masks and masklets"
+            )
+        grids = {(m.height, m.width) for m in masks}
         if len(grids) > 1:
             raise ValueError(
                 f"datapoint {self.media_id}/{self.phrase} mixes grids: {sorted(grids)}"
@@ -213,25 +215,21 @@ def _f1_from_counts(c: Counts) -> float:
     return 2 * c.tp / denom
 
 
-def score_matrix(matrix, thresholds: Sequence[float] = IOU_THRESHOLDS) -> AnnotationEval:
-    """Score a predictions x ground-truth similarity matrix (mask IoU for
-    images, volume IoU for videos): one optimal matching on the raw values,
-    re-thresholded per tau into TP/FP/FN and F1."""
+def evaluate_annotation(
+    gated_preds: Sequence[Detection],
+    gt_masks: Sequence[RleMask | FrameMaskSeq],
+    thresholds: Sequence[float] = IOU_THRESHOLDS,
+) -> AnnotationEval:
+    """Match gated predictions against one annotation on IoU (volume IoU for
+    masklets): one optimal matching on the raw values, re-thresholded per tau
+    into TP/FP/FN and F1."""
+    matrix = iou_matrix([d.mask for d in gated_preds], list(gt_masks))
     match = optimal_match(matrix)
-    n_pred, n_gt = np.shape(matrix)
+    n_pred, n_gt = matrix.shape
     counts = tuple(counts_at_threshold(match, n_pred, n_gt, tau) for tau in thresholds)
     return AnnotationEval(
         n_pred=n_pred, n_gt=n_gt, counts=counts, f1=tuple(_f1_from_counts(c) for c in counts)
     )
-
-
-def evaluate_annotation(
-    gated_preds: Sequence[Detection],
-    gt_masks: Sequence[RleMask],
-    thresholds: Sequence[float] = IOU_THRESHOLDS,
-) -> AnnotationEval:
-    """Match gated predictions against one annotation and sweep the thresholds."""
-    return score_matrix(iou_matrix([d.mask for d in gated_preds], list(gt_masks)), thresholds)
 
 
 def local_f1(dp: DataPoint, annotation_index: int, tau: float, gate_threshold: float = DEFAULT_GATE) -> float:
@@ -355,6 +353,26 @@ def _fold(
     )
 
 
+def _check_media(dps: Sequence[DataPoint], level: str):
+    """Reject the first datapoint that holds masks of the other media kind."""
+    other = FrameMaskSeq if level == "image" else RleMask
+    for dp in dps:
+        if any(isinstance(x.mask, other) for x in chain(*dp.annotations, dp.predictions)):
+            held = "masklets" if level == "image" else "image masks"
+            raise ValueError(
+                f"{level} metrics got datapoint {dp.media_id}/{dp.phrase}, which holds {held}"
+            )
+
+
+def _report(
+    dps: Sequence[DataPoint], level: str, threshold: float, mode: str, oracle: bool, index: int
+) -> MetricReport:
+    """cgF1 report; ``level`` ("image" or "video") sets the media kind accepted and the MCC name."""
+    _check_media(dps, level)
+    outcomes = [_score_datapoint(dp, threshold, oracle, index) for dp in dps]
+    return _fold(outcomes, mode, level, "oracle" if oracle else "fixed", threshold)
+
+
 def cg_f1(
     dps: Sequence[DataPoint],
     *,
@@ -364,8 +382,7 @@ def cg_f1(
     annotation_index: int = 0,
 ) -> MetricReport:
     """Full image report: classification-gated F1 and all sub-metrics."""
-    outcomes = [_score_datapoint(dp, gate_threshold, oracle, annotation_index) for dp in dps]
-    return _fold(outcomes, mode, "image", "oracle" if oracle else "fixed", gate_threshold)
+    return _report(dps, "image", gate_threshold, mode, oracle, annotation_index)
 
 
 def pm_f1(
@@ -448,6 +465,8 @@ def weighted_presence_mcc(
 
 
 def _check_annotators(dps: Sequence[DataPoint]):
+    """Reject masklets and datapoints with fewer than 2 annotations."""
+    _check_media(dps, "image")
     if any(len(dp.annotations) < 2 for dp in dps):
         raise ValueError("human protocols need at least 2 annotations per datapoint")
 

@@ -126,7 +126,7 @@ def rle_decode(mask: RleMask) -> np.ndarray:
     return mask.decode().copy()
 
 
-def _check_same_grid(a: RleMask, b: RleMask):
+def _check_same_grid(a: RleMask | FrameMaskSeq, b: RleMask | FrameMaskSeq):
     if (a.height, a.width) != (b.height, b.width):
         raise ValueError(
             f"mask grids differ: {a.height}x{a.width} vs {b.height}x{b.width}"
@@ -152,11 +152,15 @@ def _window(runs: list[int], lo: int, hi: int) -> tuple[int, int]:
     return i - (i & 1), bisect_left(runs, hi, i)
 
 
-def intersection_area(a: RleMask, b: RleMask) -> int:
-    """Pixels in both masks, by merging their runs inside the boxes' overlap."""
+def intersection_area(a: RleMask | FrameMaskSeq, b: RleMask | FrameMaskSeq) -> int:
+    """Pixels in both masks, by merging their runs inside the boxes' overlap;
+    for two masklets, the sum over their common frames."""
     _check_same_grid(a, b)
     if a.area == 0 or b.area == 0:
         return 0
+    if isinstance(a, FrameMaskSeq):
+        common = a.frames.keys() & b.frames.keys()
+        return sum(intersection_area(a.frames[t], b.frames[t]) for t in common)
     ra, (ax0, ay0, ax1, ay1) = a._runs_box()
     rb, (bx0, by0, bx1, by1) = b._runs_box()
     if ax0 > bx1 or bx0 > ax1 or ay0 > by1 or by0 > ay1:
@@ -189,8 +193,8 @@ def intersection_area(a: RleMask, b: RleMask) -> int:
             start_b, end_b = rb[j], rb[j + 1]
 
 
-def mask_iou(a: RleMask, b: RleMask) -> float:
-    """Intersection over union; two empty masks have IoU 0 by convention."""
+def mask_iou(a: RleMask | FrameMaskSeq, b: RleMask | FrameMaskSeq) -> float:
+    """Intersection over union (of volumes for masklets); two empty masks have IoU 0."""
     inter = intersection_area(a, b)
     union = a.area + b.area - inter
     if union == 0:
@@ -249,11 +253,13 @@ def bbox_iou(a: BBox, b: BBox) -> float:
 
 @dataclass(frozen=True)
 class FrameMaskSeq:
-    """Per-frame masks of one tracked identity. An absent frame is an empty mask."""
+    """Per-frame masks of one tracked identity. An absent frame is an empty
+    mask; ``area`` is the volume, so the mask kernels take a masklet as a mask."""
 
     height: int
     width: int
     frames: Mapping[int, RleMask]
+    area: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         frames = dict(self.frames)
@@ -266,17 +272,21 @@ class FrameMaskSeq:
                     f"sequence grid is {self.height}x{self.width}"
                 )
         object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "area", sum(m.area for m in frames.values()))
+
+    def __hash__(self):
+        return hash((self.height, self.width, frozenset(self.frames.items())))
 
     def mask_at(self, frame: int) -> Optional[RleMask]:
         return self.frames.get(frame)
 
     @property
     def volume(self) -> int:
-        return sum(m.area for m in self.frames.values())
+        return self.area
 
     @property
     def is_empty(self) -> bool:
-        return self.volume == 0
+        return self.area == 0
 
 
 def volume_iou(a: FrameMaskSeq, b: FrameMaskSeq) -> float:
@@ -285,6 +295,4 @@ def volume_iou(a: FrameMaskSeq, b: FrameMaskSeq) -> float:
         raise ValueError("masklet grids differ")
     if a.is_empty and b.is_empty:
         raise UndefinedMetricError("volume IoU is undefined for two empty masklets")
-    common = a.frames.keys() & b.frames.keys()
-    inter = sum(intersection_area(a.frames[t], b.frames[t]) for t in common)
-    return inter / (a.volume + b.volume - inter)
+    return mask_iou(a, b)

@@ -67,8 +67,10 @@ class Counts:
     tau: float
 
 
-def iou_matrix(pred_masks: Sequence[RleMask], gt_masks: Sequence[RleMask]) -> np.ndarray:
-    """Pairwise IoU, rows = predictions, columns = ground truths."""
+def iou_matrix(
+    pred_masks: Sequence[RleMask | FrameMaskSeq], gt_masks: Sequence[RleMask | FrameMaskSeq]
+) -> np.ndarray:
+    """Pairwise IoU (volume IoU for masklets), rows = predictions, columns = ground truths."""
     out = np.zeros((len(pred_masks), len(gt_masks)))
     for i, p in enumerate(pred_masks):
         for j, g in enumerate(gt_masks):

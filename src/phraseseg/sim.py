@@ -19,6 +19,7 @@ from .matching import Detection, gate, iou_matrix, optimal_match
 from .tracker import Masklet, Propagator
 
 MAX_PROMPT_ITERATIONS = 5
+EXEMPLAR_IOU = 0.5  # a match at this IoU is a hit; a false positive below it, a negative
 
 
 @dataclass(frozen=True)
@@ -266,11 +267,6 @@ def exemplar_policy(
     gt_masks: Sequence[RleMask],
     history: Sequence[PromptEvent],
     seed: int,
-    *,
-    gate_threshold: float = 0.5,
-    match_iou: float = 0.5,
-    overlap_bound: float = 0.5,
-    max_iterations: int = MAX_PROMPT_ITERATIONS,
 ) -> Optional[PromptEvent]:
     """Choose the next exemplar prompt from the current error pools.
 
@@ -281,14 +277,14 @@ def exemplar_policy(
     interaction stops. Prompts accumulate, so earlier events are the caller's
     to keep in ``history``.
     """
-    if len(history) >= max_iterations:
-        raise ValueError(f"prompt budget of {max_iterations} iterations exhausted")
+    if len(history) >= MAX_PROMPT_ITERATIONS:
+        raise ValueError(f"prompt budget of {MAX_PROMPT_ITERATIONS} iterations exhausted")
 
-    gated = gate(predictions, gate_threshold)
+    gated = gate(predictions)
     matrix = iou_matrix([d.mask for d in gated], list(gt_masks))
     match = optimal_match(matrix)
-    hit_gts = {g for _, g, iou in match.pairs if iou >= match_iou}
-    hit_preds = {p for p, _, iou in match.pairs if iou >= match_iou}
+    hit_gts = {g for _, g, iou in match.pairs if iou >= EXEMPLAR_IOU}
+    hit_preds = {p for p, _, iou in match.pairs if iou >= EXEMPLAR_IOU}
 
     positives = [bbox_of(gt_masks[g]) for g in range(len(gt_masks)) if g not in hit_gts]
     negatives = []
@@ -296,7 +292,7 @@ def exemplar_policy(
         if p in hit_preds or det.mask.area == 0:
             continue
         worst = max(matrix[p]) if len(gt_masks) else 0.0
-        if worst < overlap_bound:
+        if worst < EXEMPLAR_IOU:
             negatives.append(bbox_of(det.mask))
 
     rng = np.random.default_rng(seed)

@@ -1,10 +1,11 @@
-"""Video metrics: volume-IoU matching, video cgF1 and phrase-level HOTA.
+"""Video metrics: masklet matching, video cgF1 and phrase-level HOTA.
 
-Each (video, phrase) pair is a datapoint. Localization matches predicted
-masklets to ground-truth masklets on volume IoU; presence classification uses
-the video-level Matthews correlation coefficient. The HOTA family is computed
-class-agnostically after remapping every (video, phrase) pair to its own
-synthetic single-class sequence.
+Each (video, phrase) pair is a datapoint. Video cgF1 is scored by the image
+path: the IoU kernel reads a masklet's area as its volume, so predicted and
+ground-truth masklets are matched on volume IoU, and presence classification
+gives the video-level Matthews correlation coefficient. The HOTA family is
+computed class-agnostically after remapping every (video, phrase) pair to its
+own synthetic single-class sequence.
 """
 
 from __future__ import annotations
@@ -16,46 +17,22 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UndefinedMetricError
-from .image_metrics import DataPoint, MetricReport, _fold, score_matrix
-from .masks import FrameMaskSeq, RleMask, mask_iou, volume_iou
-from .matching import DEFAULT_GATE, Detection, Matching, gate, optimal_match
+from .image_metrics import DataPoint, MetricReport, _report
+from .masks import FrameMaskSeq, RleMask, mask_iou
+from .matching import DEFAULT_GATE, Matching, gate, iou_matrix, optimal_match
 
 # Localization threshold grid of the HOTA family (integer-derived, no drift).
 HOTA_ALPHAS: tuple[float, ...] = tuple((5 + 5 * k) / 100 for k in range(19))
 
-
-def _volume_iou_or_zero(a: FrameMaskSeq, b: FrameMaskSeq) -> float:
-    if a.is_empty and b.is_empty:
-        return 0.0
-    return volume_iou(a, b)
-
-
-def volume_iou_matrix(
-    preds: Sequence[FrameMaskSeq], gts: Sequence[FrameMaskSeq]
-) -> np.ndarray:
-    out = np.zeros((len(preds), len(gts)))
-    for i, p in enumerate(preds):
-        for j, g in enumerate(gts):
-            out[i, j] = _volume_iou_or_zero(p, g)
-    return out
-
-
-def gated_masklets(
-    preds: Sequence[Detection], gate_threshold: float = DEFAULT_GATE
-) -> tuple[FrameMaskSeq, ...]:
-    return tuple(d.mask for d in gate(preds, gate_threshold))
-
-
-def _similarity(dp: DataPoint, gate_threshold: float, annotation_index: int) -> np.ndarray:
-    """Volume IoU of the gated predicted masklets (rows) against one annotation."""
-    preds = gated_masklets(dp.predictions, gate_threshold)
-    return volume_iou_matrix(preds, dp.annotation_masks(annotation_index))
+# Kept under this name because the benchmark's tracing targets it.
+volume_iou_matrix = iou_matrix
 
 
 def match_masklets(dp: DataPoint, gate_threshold: float = DEFAULT_GATE) -> Matching:
     """Optimal assignment of gated predicted masklets to the ground truth of
     annotation 0 on volume IoU. Pair indices refer to the gated prediction order."""
-    return optimal_match(_similarity(dp, gate_threshold, 0))
+    preds = [d.mask for d in gate(dp.predictions, gate_threshold)]
+    return optimal_match(iou_matrix(preds, dp.annotation_masks(0)))
 
 
 def video_cg_f1(
@@ -70,8 +47,7 @@ def video_cg_f1(
     The localization F1 defaults to the macro form over positive pairs; the
     micro variant sits behind ``mode="micro"``.
     """
-    outcomes = [score_matrix(_similarity(dp, gate_threshold, annotation_index)) for dp in dps]
-    return _fold(outcomes, mode, "video", "fixed", gate_threshold)
+    return _report(dps, "video", gate_threshold, mode, False, annotation_index)
 
 
 @dataclass(frozen=True)
@@ -103,20 +79,17 @@ def phota_remap(
     Masks are carried over bit-exactly; only identities change. Predicted
     masklets are gated before remapping, mirroring the evaluation gate.
     """
-    ordered = sorted(range(len(dps)), key=lambda i: (dps[i].media_id, dps[i].phrase, i))
-    sequences = []
-    for synthetic_id, i in enumerate(ordered):
-        dp = dps[i]
-        sequences.append(
-            RemappedSequence(
-                synthetic_id=synthetic_id,
-                video_id=dp.media_id,
-                phrase=dp.phrase,
-                gt_tracks=dp.annotation_masks(annotation_index),
-                pred_tracks=gated_masklets(dp.predictions, gate_threshold),
-            )
+    ordered = sorted(dps, key=lambda dp: (dp.media_id, dp.phrase))  # stable: ties keep input order
+    return RemappedTrackSet(tuple(
+        RemappedSequence(
+            synthetic_id=synthetic_id,
+            video_id=dp.media_id,
+            phrase=dp.phrase,
+            gt_tracks=dp.annotation_masks(annotation_index),
+            pred_tracks=tuple(d.mask for d in gate(dp.predictions, gate_threshold)),
         )
-    return RemappedTrackSet(tuple(sequences))
+        for synthetic_id, dp in enumerate(ordered)
+    ))
 
 
 @dataclass(frozen=True)
@@ -232,12 +205,7 @@ def hota(track_set: RemappedTrackSet) -> HotaResult:
     TP-weighted mean of per-pair association accuracies. The headline values
     average the 19-point localization threshold grid.
     """
-    has_content = any(
-        tr.volume > 0
-        for s in track_set.sequences
-        for tr in (*s.gt_tracks, *s.pred_tracks)
-    )
-    if not has_content:
+    if not any(tr.area for s in track_set.sequences for tr in (*s.gt_tracks, *s.pred_tracks)):
         raise UndefinedMetricError("HOTA is undefined without any ground truth or prediction")
 
     n_alpha = len(HOTA_ALPHAS)

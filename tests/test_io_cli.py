@@ -548,6 +548,16 @@ class TestCliRejectsIgnoredOrOutOfRangeFlags:
         assert exc.value.code == 2
         assert "argument --seed: must be at least 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--media-id", "--phrase"])
+    def test_empty_simulate_name(self, tmp_path, capsys, flag):
+        out = tmp_path / "d.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", flag, "", "--out-detections", str(out),
+                  "--out-gt", str(tmp_path / "gt.json")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be a non-empty string" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_simulate_seed(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--seed", "-1", "--out-detections", str(tmp_path / "d.json")])

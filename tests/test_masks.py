@@ -234,6 +234,14 @@ class TestVolumeIoU:
         with pytest.raises(ValueError):
             volume_iou(seq(2, 2, {}), seq(2, 3, {}))
 
+    def test_equal_masklets_hash_equal(self):
+        m = mask_from_pixels(2, 2, [(0, 0)])
+        a = seq(2, 2, {0: m, 3: RleMask.empty(2, 2)})
+        b = seq(2, 2, {3: RleMask.empty(2, 2), 0: mask_from_pixels(2, 2, [(0, 0)])})
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, seq(2, 2, {0: m})}) == 2
+        assert a.area == a.volume == 1
+
     def test_sequence_rejects_foreign_grid(self):
         with pytest.raises(ValueError):
             FrameMaskSeq(2, 2, {0: RleMask.empty(3, 3)})

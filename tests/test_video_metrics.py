@@ -2,19 +2,26 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from phraseseg import (
     FrameMaskSeq,
+    RleMask,
     UndefinedMetricError,
     cg_f1,
     hota,
     match_masklets,
     phota_remap,
+    random_pair,
     video_cg_f1,
+    volume_iou,
 )
+from phraseseg.image_metrics import human_oracle
+from phraseseg.matching import iou_matrix
 from phraseseg.video_metrics import HOTA_ALPHAS
 
-from _reference import reference_hota
+from _reference import reference_hota, reference_image_metrics
 from conftest import datapoint, det, mask_from_pixels, random_mask, rect_mask, seq
 
 
@@ -135,6 +142,88 @@ class TestVideoCgF1:
     def test_no_positive_pairs_undefined(self):
         with pytest.raises(UndefinedMetricError):
             video_cg_f1([vdp([], [], video="a")])
+
+
+@st.composite
+def masklets(draw, size=3):
+    """A masklet on a ``size`` x ``size`` grid over frames 0..2, with its
+    (frame, row, col) pixel set. Stored frames may be empty, and so may the
+    whole masklet."""
+    pixel = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    frames = draw(st.dictionaries(st.integers(0, 2), st.sets(pixel, max_size=4), max_size=3))
+    track = seq(size, size, {t: mask_from_pixels(size, size, px) for t, px in frames.items()})
+    return track, {(t, r, c) for t, px in frames.items() for r, c in px}
+
+
+# 0.2 and 0.5 fail the strict default gate
+video_cases = st.tuples(
+    st.lists(masklets(), max_size=3),
+    st.lists(st.tuples(masklets(), st.sampled_from([0.2, 0.5, 0.7, 1.0])), max_size=3),
+)
+
+
+class TestSharedImagePath:
+    """Masklets go through the image kernel and scoring path unchanged."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(video_cases, min_size=1, max_size=4))
+    def test_micro_report_equals_pixel_set_reference(self, cases):
+        # set IoU on (frame, row, col) pixels is volume IoU
+        assume(any(gts for gts, _ in cases))
+        dps = [
+            vdp([t for t, _ in gts], [(t, s) for (t, _), s in preds], video=str(i))
+            for i, (gts, preds) in enumerate(cases)
+        ]
+        raw = [([px for _, px in gts], [(px, s) for (_, px), s in preds]) for gts, preds in cases]
+        report = video_cg_f1(dps, mode="micro")
+        expected = reference_image_metrics(raw)
+        assert report.micro_f1 == pytest.approx(expected["pmF1"], abs=1e-12)
+        assert report.macro_f1 == pytest.approx(expected["macro_pF1"], abs=1e-12)
+        assert report.mcc == pytest.approx(expected["IL_MCC"], abs=1e-12)
+        assert report.cg_f1 == pytest.approx(expected["cgF1"], abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(masklets(), max_size=3), st.lists(masklets(), max_size=3))
+    def test_iou_matrix_is_volume_iou(self, preds, gts):
+        matrix = iou_matrix([t for t, _ in preds], [t for t, _ in gts])
+        assert matrix.shape == (len(preds), len(gts))
+        for i, (p, _) in enumerate(preds):
+            for j, (g, _) in enumerate(gts):
+                expected = 0.0 if p.is_empty and g.is_empty else volume_iou(p, g)
+                assert matrix[i, j] == expected
+
+    def test_two_empty_masklets_score_zero(self):
+        empty = seq(2, 2, {0: RleMask.empty(2, 2)})
+        assert iou_matrix([seq(2, 2, {})], [empty]).tolist() == [[0.0]]
+
+
+class TestMediaKind:
+    def test_datapoint_mixing_kinds_rejected(self):
+        track = seq(4, 4, {0: m((0, 0))})
+        with pytest.raises(ValueError, match="v/thing mixes image masks and masklets"):
+            vdp([track], [(m((0, 0)), 0.9)])
+
+    def test_image_metrics_name_the_video_datapoint(self):
+        track = seq(4, 4, {0: m((0, 0))})
+        dps = [
+            datapoint([m((0, 0))], [det(m((0, 0)), 0.9)], media="img", extra_annotations=[[]]),
+            datapoint([track], [det(track, 0.9)], media="vid", extra_annotations=[[track]]),
+        ]
+        for call in (cg_f1, human_oracle, lambda d: random_pair(d, trials=3)):
+            with pytest.raises(ValueError, match="image metrics got datapoint vid/thing, which holds masklets"):
+                call(dps)
+
+    def test_video_cg_f1_names_the_image_datapoint(self):
+        track = seq(4, 4, {0: m((0, 0))})
+        dps = [vdp([track], [(track, 0.9)], video="vid"), datapoint([m((0, 0))], media="img")]
+        with pytest.raises(ValueError, match="video metrics got datapoint img/thing, which holds image masks"):
+            video_cg_f1(dps)
+
+    def test_datapoint_without_masks_suits_both(self):
+        track = seq(4, 4, {0: m((0, 0))})
+        blank = datapoint([], media="blank")
+        assert video_cg_f1([vdp([track], [(track, 0.9)]), blank]).cg_f1 == 100.0
+        assert cg_f1([datapoint([m((0, 0))], [det(m((0, 0)), 0.9)]), blank]).cg_f1 == 100.0
 
 
 class TestRemap:
