@@ -15,10 +15,6 @@ from .errors import UndefinedMetricError, ValidationError
 from .matching import DEFAULT_GATE, iom_nms
 
 
-def _report_format(path: str) -> str:
-    return "csv" if str(path).lower().endswith(".csv") else "json"
-
-
 def _int_at_least(minimum: int):
     def integer(text: str) -> int:
         value = int(text)
@@ -166,13 +162,7 @@ def _cmd_eval_image(args) -> int:
     else:
         report = image_metrics.human_oracle(dps, mode=args.mode)
 
-    fmt = _report_format(args.report)
-    if fmt == "json":
-        doc = report.to_dict()
-        doc["ignored_predictions"] = ignored
-        io_schemas.write_report(doc, args.report, "json")
-    else:
-        io_schemas.write_report(io_schemas.report_csv(report), args.report, "csv")
+    io_schemas.write_report({**report.to_dict(), "ignored_predictions": ignored}, args.report)
     return 0
 
 
@@ -186,59 +176,30 @@ def _cmd_eval_video(args) -> int:
     )
     hota_result = video_metrics.hota(video_metrics.phota_remap(dps, gate, index))
 
-    fmt = _report_format(args.report)
-    if fmt == "json":
-        doc = report.to_dict()
-        doc["ignored_predictions"] = ignored
-        doc["hota"] = {
-            "pHOTA": hota_result.hota,
-            "pDetA": hota_result.det_a,
-            "pAssA": hota_result.ass_a,
-            "per_alpha": [
-                {
-                    "alpha": a.alpha,
-                    "TP": a.tp,
-                    "FN": a.fn,
-                    "FP": a.fp,
-                    "DetA": a.det_a,
-                    "AssA": a.ass_a,
-                    "HOTA": a.hota,
-                }
-                for a in hota_result.per_alpha
-            ],
-        }
-        io_schemas.write_report(doc, args.report, "json")
-    else:
-        extra = [
-            ("pHOTA", hota_result.hota, ""),
-            ("pDetA", hota_result.det_a, ""),
-            ("pAssA", hota_result.ass_a, ""),
-        ]
-        extra.extend(
-            row
-            for a in hota_result.per_alpha
-            for row in (
-                ("HOTA", a.hota, f"{a.alpha:.2f}"),
-                ("DetA", a.det_a, f"{a.alpha:.2f}"),
-                ("AssA", a.ass_a, f"{a.alpha:.2f}"),
-            )
-        )
-        io_schemas.write_report(io_schemas.report_csv(report, extra), args.report, "csv")
+    doc = {**report.to_dict(), "ignored_predictions": ignored, "hota": hota_result.to_dict()}
+    io_schemas.write_report(doc, args.report)
     return 0
 
 
 def _cmd_track(args) -> int:
+    if args.tracks is not None and args.propagator != "tracks":
+        raise ValidationError(["--tracks applies only with --propagator tracks"])
+    if args.propagator == "tracks" and not args.tracks:
+        raise ValidationError(["--propagator tracks needs --tracks FILE"])
     stream = io_schemas.load_detection_stream(args.detections)
     config = (
         io_schemas.load_tracker_config(args.config) if args.config else tracker.TrackerConfig()
     )
+    propagator = tracker.hold_propagator
     if args.propagator == "tracks":
-        if not args.tracks:
-            raise ValidationError(["--propagator tracks needs --tracks FILE"])
-        _, reference = io_schemas.load_masklets(args.tracks)
+        media, reference = io_schemas.load_masklets(args.tracks)
+        grids = [f"{m.height}x{m.width}" for m in (media, stream.media)]
+        if grids[0] != grids[1]:
+            raise ValidationError(
+                [f"{args.tracks}: reference tracks are on a {grids[0]} grid, "
+                 f"the detection stream on {grids[1]}"]
+            )
         propagator = sim.follow_reference(reference)
-    else:
-        propagator = tracker.hold_propagator
     result = tracker.run(stream.frames, propagator, config)
     doc = io_schemas.masklets_doc(stream.media, result)
     io_schemas.write_atomic(args.out, io_schemas.dumps_json(doc))
@@ -251,7 +212,10 @@ def _cmd_simulate(args) -> int:
     )
     if args.seed is not None:
         cfg = sim.ScenarioConfig(**{**cfg.__dict__, "seed": args.seed})
-    scenario = sim.gen_scenario(cfg)
+    try:
+        scenario = sim.gen_scenario(cfg)
+    except ValueError as exc:
+        raise ValidationError([f"cannot generate the scenario: {exc}"])
     media = io_schemas.MediaInfo(
         id=args.media_id, height=cfg.height, width=cfg.width, frames=cfg.frames
     )
@@ -287,19 +251,14 @@ def _cmd_count(args) -> int:
             {"media_id": dp.media_id, "phrase": dp.phrase, "predicted": predicted, "true": true}
         )
     mae, accuracy = image_metrics.counting_metrics(pairs)
-    fmt = _report_format(args.report)
-    if fmt == "json":
-        doc = {
-            "metrics": {"MAE": mae, "accuracy_percent": 100.0 * accuracy},
-            "iom_threshold": args.iom,
-            "gate": gate,
-            "ignored_predictions": ignored,
-            "datapoints": per_dp,
-        }
-        io_schemas.write_report(doc, args.report, "json")
-    else:
-        rows = [("MAE", mae, ""), ("accuracy_percent", 100.0 * accuracy, "")]
-        io_schemas.write_report(io_schemas.rows_csv(rows), args.report, "csv")
+    doc = {
+        "metrics": {"MAE": mae, "accuracy_percent": 100.0 * accuracy},
+        "iom_threshold": args.iom,
+        "gate": gate,
+        "ignored_predictions": ignored,
+        "datapoints": per_dp,
+    }
+    io_schemas.write_report(doc, args.report)
     return 0
 
 

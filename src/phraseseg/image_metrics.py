@@ -153,23 +153,6 @@ class MetricReport:
             },
         }
 
-    def to_csv_rows(self) -> list[tuple[str, float, str]]:
-        mcc_key = "IL_MCC" if self.level == "image" else "VL_MCC"
-        rows = [
-            ("cgF1", self.cg_f1, ""),
-            ("pmF1", self.micro_f1, ""),
-            ("macro_pF1", self.macro_f1, ""),
-            (mcc_key, self.mcc, ""),
-        ]
-        for t in self.per_threshold:
-            tau = f"{t.tau:.2f}"
-            rows.append(("micro_F1", t.micro_f1, tau))
-            rows.append(("macro_F1", t.macro_f1, tau))
-            rows.append(("TP", t.tp, tau))
-            rows.append(("FP", t.fp, tau))
-            rows.append(("FN", t.fn, tau))
-        return rows
-
 
 def combine_scores(presence: float, query_score: float) -> float:
     """Total confidence of one proposal: presence score times its own score.

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping, Optional, Sequence
 
 from .errors import ValidationError
-from .image_metrics import DataPoint, GtInstance, MetricReport, combine_scores
+from .image_metrics import DataPoint, GtInstance, combine_scores
 from .masks import FrameMaskSeq, RleMask
 from .matching import Detection
 from .sim import ScenarioConfig
@@ -589,23 +589,30 @@ def write_atomic(path, text: str):
         raise
 
 
-def rows_csv(rows: Sequence[tuple[str, float, str]]) -> str:
+def report_csv(doc: Mapping[str, Any]) -> str:
+    """The CSV projection of a report document, columns ``metric,value,tau``:
+    the ``metrics`` in document order, then F1 and counts per IoU threshold,
+    then, for a video report, the HOTA scalars and HOTA/DetA/AssA per alpha.
+    Everything else in the document appears only in its JSON form."""
+    rows = [(name, value, "") for name, value in doc["metrics"].items()]
+    for t in doc.get("per_threshold", ()):
+        tau = f"{t['tau']:.2f}"
+        rows += [(key, t[key], tau) for key in ("micro_F1", "macro_F1", "TP", "FP", "FN")]
+    if "hota" in doc:
+        hota = doc["hota"]
+        rows += [(key, hota[key], "") for key in ("pHOTA", "pDetA", "pAssA")]
+        for a in hota["per_alpha"]:
+            alpha = f"{a['alpha']:.2f}"
+            rows += [(key, a[key], alpha) for key in ("HOTA", "DetA", "AssA")]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["metric", "value", "tau"])
-    for metric, value, tau in rows:
-        writer.writerow([metric, repr(float(value)), tau])
+    writer.writerows([metric, repr(float(value)), tau] for metric, value, tau in rows)
     return buf.getvalue()
 
 
-def report_csv(report: MetricReport, extra_rows: Sequence[tuple[str, float, str]] = ()) -> str:
-    return rows_csv(list(report.to_csv_rows()) + list(extra_rows))
-
-
-def write_report(report_doc: Any, path, fmt: str):
-    if fmt == "json":
-        write_atomic(path, dumps_json(report_doc))
-    elif fmt == "csv":
-        write_atomic(path, report_doc)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
+def write_report(doc: Mapping[str, Any], path):
+    """Write a report document atomically: its CSV projection when ``path``
+    ends in ``.csv``, otherwise the JSON document itself."""
+    csv_path = str(path).lower().endswith(".csv")
+    write_atomic(path, report_csv(doc) if csv_path else dumps_json(doc))

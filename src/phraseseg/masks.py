@@ -127,6 +127,8 @@ def rle_decode(mask: RleMask) -> np.ndarray:
 
 
 def _check_same_grid(a: RleMask | FrameMaskSeq, b: RleMask | FrameMaskSeq):
+    if type(a) is not type(b):
+        raise ValueError(f"mask kinds differ: {type(a).__name__} vs {type(b).__name__}")
     if (a.height, a.width) != (b.height, b.width):
         raise ValueError(
             f"mask grids differ: {a.height}x{a.width} vs {b.height}x{b.width}"

@@ -55,6 +55,9 @@ class ScenarioConfig:
             raise ValueError("distractor probability must be in [0, 1]")
         if self.fp_rate < 0.0:
             raise ValueError("false-positive rate must be >= 0")
+        for name in ("max_step", "jitter_px", "prop_jitter_px"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.waypoints < 2:
             raise ValueError("need at least 2 trajectory waypoints")
         for obj, first, last in self.occlusions:

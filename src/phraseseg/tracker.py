@@ -11,7 +11,6 @@ are ever shown.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -19,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .masks import FrameMaskSeq, RleMask, bbox_iou, bbox_of, mask_iou
-from .matching import Detection, gate, optimal_match
+from .matching import Detection, gate, iou_matrix, optimal_match
 
 Propagator = Callable[["Masklet", int], tuple[RleMask, float]]
 
@@ -177,35 +176,34 @@ class Tracker:
         for mid, m in self.masklets.items():
             m.masks[tau], m.scores[tau] = propagated[mid]
 
-        # (1) associate propagated masks with detections; each masklet's IoU
-        # row against this frame's detections is computed once and reused below
-        def iou_row(mask: RleMask) -> list[float]:
-            return [mask_iou(mask, det.mask) for det in detections]
-
+        # (1) associate propagated masks with detections; the IoU matrix, one
+        # row per masklet in id order, is computed once and reused below
         ids = sorted(self.masklets)
-        iou_rows = {mid: iou_row(self.masklets[mid].masks[tau]) for mid in ids}
-        matrix = np.array([iou_rows[mid] for mid in ids]).reshape(len(ids), len(detections))
+        det_masks = [det.mask for det in detections]
+        matrix = iou_matrix([self.masklets[mid].masks[tau] for mid in ids], det_masks)
         matched: dict[int, int] = {}  # masklet id -> detection index
         for r, c, iou in optimal_match(matrix).pairs:
             if iou > cfg.match_iou:
                 matched[ids[r]] = c
 
-        # (2) spawn masklets for unmatched detections
+        # (2) spawn masklets for unmatched detections; new ids are the largest,
+        # so their rows keep the matrix in id order
         taken = set(matched.values())
-        for c, det in enumerate(detections):
-            if c in taken:
-                continue
+        spawned = [det for c, det in enumerate(detections) if c not in taken]
+        for det in spawned:
             m = Masklet(id=self._next_id, t_first=tau)
             self._next_id += 1
             m.masks[tau] = det.mask
             m.scores[tau] = det.score
             self.masklets[m.id] = m
-            iou_rows[m.id] = iou_row(det.mask)
+            ids.append(m.id)
+        matrix = np.vstack([matrix, iou_matrix([det.mask for det in spawned], det_masks)])
+        row_of = {mid: r for r, mid in enumerate(ids)}
 
         # (3) record the frame-wise match indicator for every active masklet
         for mid in sorted(self.masklets):
             m = self.masklets[mid]
-            d = _indicator(iou_rows[mid], cfg.match_iou)
+            d = _indicator(matrix[row_of[mid]], cfg.match_iou)
             m.deltas[tau] = d
             m.lifetime_mds += d
 
@@ -215,13 +213,11 @@ class Tracker:
             self._remove_unconfirmed(tau - cfg.confirmation_window, tau)
 
         # (5) drop the younger of two masklets that keep sharing a detection
-        for i, j in itertools.combinations(sorted(self.masklets), 2):
-            shares = any(
-                iou_rows[i][c] >= cfg.duplicate_iou and iou_rows[j][c] >= cfg.duplicate_iou
-                for c in range(len(detections))
-            )
-            if shares:
-                self._dup_counts[(i, j)] = self._dup_counts.get((i, j), 0) + 1
+        live = sorted(self.masklets)
+        near = matrix[[row_of[mid] for mid in live]] >= cfg.duplicate_iou
+        for a, b in np.argwhere(np.triu(near @ near.T, 1)):
+            pair = (live[a], live[b])
+            self._dup_counts[pair] = self._dup_counts.get(pair, 0) + 1
         if tau >= cfg.confirmation_window:
             self._remove_duplicates(tau - cfg.confirmation_window)
 
@@ -231,13 +227,11 @@ class Tracker:
                 m.zeroed.add(tau)
 
         # (7) periodic re-prompt from a strongly agreeing, confident detection
-        if tau % cfg.reprompt_period == 0:
+        if tau % cfg.reprompt_period == 0 and detections:
             for mid in sorted(self.masklets):
                 m = self.masklets[mid]
-                row = iou_rows[mid]
-                if not row:
-                    continue
-                best = max(range(len(row)), key=lambda c: (row[c], -c))
+                row = matrix[row_of[mid]]
+                best = int(np.argmax(row))  # the first of equal maxima
                 if (
                     row[best] >= cfg.reprompt_iou
                     and detections[best].score > cfg.reprompt_confidence

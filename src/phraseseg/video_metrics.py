@@ -110,6 +110,18 @@ class HotaResult:
     ass_a: float
     per_alpha: tuple[AlphaStats, ...]
 
+    def to_dict(self) -> dict:
+        return {
+            "pHOTA": self.hota,
+            "pDetA": self.det_a,
+            "pAssA": self.ass_a,
+            "per_alpha": [
+                {"alpha": a.alpha, "TP": a.tp, "FN": a.fn, "FP": a.fp,
+                 "DetA": a.det_a, "AssA": a.ass_a, "HOTA": a.hota}
+                for a in self.per_alpha
+            ],
+        }
+
 
 @dataclass
 class _SequenceStats:

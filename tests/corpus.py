@@ -119,3 +119,52 @@ def build_annotator_corpus(seed=20240602, n_media=10):
             "annotations": [[{"counts": _rect_counts(h, w, *b)} for b in ann] for ann in annotations],
         })
     return {"schema_version": 1, "media": media, "datapoints": datapoints}
+
+
+def _frames_doc(seq):
+    return {str(t): {"counts": list(m.counts)} for t, m in sorted(seq.frames.items())}
+
+
+def build_video_corpus(seed=20240603, n_media=2):
+    """A small noisy video benchmark: each video is a simulated scenario with
+    misses, jitter and false positives, tracked end to end; its ground-truth
+    masklets label phrase "object" and phrase "absent" is a negative. The
+    first video's negative gets one tracked masklet as a false positive, and
+    a prediction record for the unlabeled phrase "ghost" is ignored.
+    Returns (gt_doc, pred_doc)."""
+    from phraseseg import sim, tracker
+
+    rng = np.random.default_rng(seed)
+    media, datapoints, predictions = [], [], []
+    for i in range(n_media):
+        cfg = sim.ScenarioConfig(
+            height=24, width=32, frames=16, objects=3, min_size=4, max_size=8,
+            miss_prob=0.15, fp_rate=0.4, distractor_prob=0.3, jitter_px=1,
+            prop_jitter_px=1, seed=int(rng.integers(1000)),
+        )
+        scenario = sim.gen_scenario(cfg)
+        result = tracker.run(scenario.detections, scenario.propagator)
+        tracked = [_frames_doc(seq) for _, seq in sorted(result.sequences().items())]
+        media_id = f"vid{i:02d}"
+        media.append({"id": media_id, "height": cfg.height, "width": cfg.width, "frames": cfg.frames})
+        datapoints.append({
+            "media_id": media_id,
+            "phrase": "object",
+            "annotations": [[{"frames": _frames_doc(seq)} for seq in scenario.gt_masklets]],
+        })
+        datapoints.append({"media_id": media_id, "phrase": "absent", "annotations": [[]]})
+        predictions.append({
+            "media_id": media_id,
+            "phrase": "object",
+            "instances": [
+                {"frames": frames, "score": round(float(rng.uniform(0.3, 1.0)), 4)}
+                for frames in tracked
+            ],
+        })
+        if i == 0:
+            spurious = {"frames": tracked[-1], "score": 0.9}
+            predictions.append({"media_id": media_id, "phrase": "absent", "instances": [spurious]})
+            predictions.append({"media_id": media_id, "phrase": "ghost", "instances": [spurious]})
+    gt_doc = {"schema_version": 1, "media": media, "datapoints": datapoints}
+    pred_doc = {"schema_version": 1, "predictions": predictions}
+    return gt_doc, pred_doc

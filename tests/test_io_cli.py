@@ -13,7 +13,7 @@ from phraseseg.masks import FrameMaskSeq
 from phraseseg.matching import Detection
 from phraseseg.tracker import EmittedMasklet, TrackResult
 
-from corpus import build_annotator_corpus, build_image_corpus
+from corpus import build_annotator_corpus, build_image_corpus, build_video_corpus
 from conftest import rect_mask
 
 DATA = Path(__file__).parent / "data"
@@ -607,6 +607,54 @@ class TestCliRejectsIgnoredOrOutOfRangeFlags:
         assert reports[2].read_bytes() == reports[3].read_bytes()
 
 
+class TestCliSimulateTrackRejections:
+    """Configs and flags that cannot run exit 2 with a message and write nothing."""
+
+    @pytest.mark.parametrize(
+        "name, value", [("max_step", -1), ("jitter_px", -3), ("prop_jitter_px", -2)]
+    )
+    def test_negative_scenario_field(self, tmp_path, capsys, name, value):
+        cfg = write(tmp_path / "cfg.json", {name: value})
+        out = tmp_path / "d.json"
+        assert main(["simulate", "--config", cfg, "--out-detections", str(out)]) == 2
+        assert f"{name} must be >= 0, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unplaceable_scenario(self, tmp_path, capsys):
+        doc = {"objects": 200, "height": 8, "width": 8, "min_size": 1, "max_size": 1, "frames": 4}
+        cfg = write(tmp_path / "cfg.json", doc)
+        out = tmp_path / "d.json"
+        assert main(["simulate", "--config", cfg, "--out-detections", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "validation error: cannot generate the scenario: could not place" in err
+        assert not out.exists()
+
+    def simulate(self, tmp_path, name, size):
+        doc = {"height": size, "width": size + 2, "frames": 6, "objects": 2, "max_size": 6}
+        cfg = write(tmp_path / f"{name}.json", doc)
+        dets, tracks = tmp_path / f"{name}_d.json", tmp_path / f"{name}_t.json"
+        argv = ["simulate", "--config", cfg, "--out-detections", str(dets), "--out-tracks", str(tracks)]
+        assert main(argv) == 0
+        return str(dets), str(tracks)
+
+    def test_track_reference_on_another_grid(self, tmp_path, capsys):
+        dets, _ = self.simulate(tmp_path, "a", 20)
+        _, tracks = self.simulate(tmp_path, "b", 24)
+        out = tmp_path / "out.json"
+        argv = ["track", "--detections", dets, "--propagator", "tracks", "--tracks", tracks]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{tracks}: reference tracks are on a 24x26 grid, the detection stream on 20x22" in err
+        assert not out.exists()
+
+    def test_tracks_without_tracks_propagator(self, tmp_path, capsys):
+        dets, tracks = self.simulate(tmp_path, "a", 20)
+        out = tmp_path / "out.json"
+        assert main(["track", "--detections", dets, "--tracks", tracks, "--out", str(out)]) == 2
+        assert "--tracks applies only with --propagator tracks" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCliMixedMedia:
     def test_each_join_counts_its_own_media_kind(self, tmp_path):
         # one file pair holding images and videos, each kind with one
@@ -891,6 +939,38 @@ class TestCliCount:
         assert out["datapoints"][0]["true"] == 2
         assert out["metrics"]["MAE"] == 0.0
         assert out["metrics"]["accuracy_percent"] == 100.0
+
+
+class TestGoldenReports:
+    """Every scoring command's JSON and CSV report, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "golden, command, corpus, extra",
+        [
+            ("golden_image_report.csv", "eval-image", "image_corpus", []),
+            ("golden_video_macro.json", "eval-video", "video_corpus", ["--macro"]),
+            ("golden_video_macro.csv", "eval-video", "video_corpus", ["--macro"]),
+            ("golden_video_micro.json", "eval-video", "video_corpus", ["--micro"]),
+            ("golden_video_micro.csv", "eval-video", "video_corpus", ["--micro"]),
+            ("golden_count.json", "count", "image_corpus", []),
+            ("golden_count.csv", "count", "image_corpus", []),
+        ],
+    )
+    def test_golden_scoring_reports(self, tmp_path, golden, command, corpus, extra):
+        report = tmp_path / f"report{Path(golden).suffix}"
+        gt, pred = (str(DATA / f"{corpus}_{part}.json") for part in ("gt", "pred"))
+        assert main([command, "--gt", gt, "--pred", pred, *extra, "--report", str(report)]) == 0
+        assert report.read_bytes() == (DATA / golden).read_bytes()
+
+    def test_video_gold_files_are_the_corpus(self):
+        gt_doc, pred_doc = build_video_corpus()
+        assert json.loads((DATA / "video_corpus_gt.json").read_text()) == gt_doc
+        assert json.loads((DATA / "video_corpus_pred.json").read_text()) == pred_doc
+
+    def test_video_corpus_has_negatives_and_ignored_records(self):
+        doc = json.loads((DATA / "golden_video_macro.json").read_text())
+        assert doc["ignored_predictions"] == 1
+        assert doc["datapoints"]["negative"] > 0 and doc["presence_counts"]["FP"] == 1
 
 
 class TestLoadersRejectCoercion:

@@ -21,6 +21,7 @@ from phraseseg import (
     volume_iou,
 )
 from phraseseg.masks import intersection_area
+from phraseseg.matching import iou_matrix
 
 from _reference import pixels, set_iou
 from conftest import mask_from_pixels, random_mask, seq
@@ -155,6 +156,26 @@ class TestIoM:
 
     def test_one_empty_is_zero(self):
         assert mask_iom(RleMask.empty(2, 2), RleMask.full(2, 2)) == 0.0
+
+
+class TestMixedKinds:
+    """The kernels name a mask paired with a masklet instead of failing inside."""
+
+    mask = RleMask.full(2, 2)
+    masklet = FrameMaskSeq(2, 2, {0: RleMask.full(2, 2)})
+
+    @pytest.mark.parametrize("kernel", [mask_iou, mask_iom])
+    def test_kernel_names_both_kinds(self, kernel):
+        with pytest.raises(ValueError, match="mask kinds differ: RleMask vs FrameMaskSeq"):
+            kernel(self.mask, self.masklet)
+        with pytest.raises(ValueError, match="mask kinds differ: FrameMaskSeq vs RleMask"):
+            kernel(self.masklet, self.mask)
+
+    def test_iou_matrix_names_both_kinds(self):
+        with pytest.raises(ValueError, match="mask kinds differ: RleMask vs FrameMaskSeq"):
+            iou_matrix([self.mask], [self.masklet])
+        with pytest.raises(ValueError, match="mask kinds differ: FrameMaskSeq vs RleMask"):
+            iou_matrix([self.masklet], [self.mask])
 
 
 class TestBBox:

@@ -276,6 +276,20 @@ class TestReprompt:
         )
         assert result.masklets[0].frames[16] == prop_mask
 
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_equal_ious_take_the_first_detection(self, first):
+        prop_mask = r(0, 0, 10, 2)
+        tied = [r(0, 0, 9, 2), r(1, 0, 9, 2)]  # IoU 0.9 each
+        order = tied if first == 0 else tied[::-1]
+        events = self.make_events(16, prop_mask)
+        events.append([Detection(mask=m, score=0.9) for m in order])
+        result = run(
+            events,
+            self.fixed_propagator(prop_mask),
+            TrackerConfig(recondition_bbox_iou=0.0),  # isolate re-prompting
+        )
+        assert result.masklets[0].frames[16] == order[0]
+
 
 class TestRecondition:
     def test_triggers_below_bbox_bound(self):
