@@ -193,12 +193,16 @@ def _cmd_track(args) -> int:
     propagator = tracker.hold_propagator
     if args.propagator == "tracks":
         media, reference = io_schemas.load_masklets(args.tracks)
+        errors = []
+        if media.id != stream.media.id:
+            errors.append(f"{args.tracks}: reference tracks are of media {media.id!r}, "
+                          f"the detection stream of {stream.media.id!r}")
         grids = [f"{m.height}x{m.width}" for m in (media, stream.media)]
         if grids[0] != grids[1]:
-            raise ValidationError(
-                [f"{args.tracks}: reference tracks are on a {grids[0]} grid, "
-                 f"the detection stream on {grids[1]}"]
-            )
+            errors.append(f"{args.tracks}: reference tracks are on a {grids[0]} grid, "
+                          f"the detection stream on {grids[1]}")
+        if errors:
+            raise ValidationError(errors)
         propagator = sim.follow_reference(reference)
     result = tracker.run(stream.frames, propagator, config)
     doc = io_schemas.masklets_doc(stream.media, result)
@@ -212,6 +216,7 @@ def _cmd_simulate(args) -> int:
     )
     if args.seed is not None:
         cfg = sim.ScenarioConfig(**{**cfg.__dict__, "seed": args.seed})
+    io_schemas.check_writable(args.out_detections, args.out_gt, args.out_tracks)
     try:
         scenario = sim.gen_scenario(cfg)
     except ValueError as exc:

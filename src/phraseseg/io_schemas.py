@@ -574,10 +574,26 @@ def dumps_json(doc: Any) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def check_writable(*paths):
+    """Reject, naming each, the paths (``None`` skipped) that are a directory
+    or lie in a directory that does not exist, before anything is written."""
+    errors = []
+    for path in paths:
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            errors.append(f"{path}: cannot write file (it is a directory)")
+        elif not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            errors.append(f"{path}: cannot write file (no such directory)")
+    if errors:
+        raise ValidationError(errors)
+
+
 def write_atomic(path, text: str):
     """Write via a sibling temp file and rename, so readers never see a
     partial report."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    check_writable(path)
+    directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:

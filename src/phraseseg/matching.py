@@ -92,58 +92,54 @@ def _canonical_total(m: np.ndarray, pairs) -> float:
     return float(sum(m[i, j] for i, j in sorted(pairs)))
 
 
-def _best_completion(m: np.ndarray, fixed, next_row, used_cols) -> float:
-    rows = [i for i in range(next_row, m.shape[0])]
-    cols = [j for j in range(m.shape[1]) if j not in used_cols]
-    pairs = list(fixed)
+def _completion(m: np.ndarray, prefix, next_row) -> tuple[list[tuple[int, int]], float]:
+    # ``prefix`` plus one optimal assignment of rows ``next_row..`` to the
+    # columns ``prefix`` leaves free (zero pairs dropped), with its total.
+    used = {j for _, j in prefix}
+    rows = list(range(next_row, m.shape[0]))
+    cols = [j for j in range(m.shape[1]) if j not in used]
+    pairs = list(prefix)
     if rows and cols:
         sub = m[np.ix_(rows, cols)]
         rr, cc = linear_sum_assignment(sub, maximize=True)
         pairs.extend(
             (rows[r], cols[c]) for r, c in zip(rr, cc) if sub[r, c] > 0.0
         )
-    return _canonical_total(m, pairs)
+    return pairs, _canonical_total(m, pairs)
 
 
 def optimal_match(matrix) -> Matching:
     """Max-total-IoU injective assignment of predictions to ground truths.
 
-    Zero-IoU pairs are left unmatched. Among assignments with maximal total,
-    the lexicographically smallest one (scanning predictions in order, lower
+    Zero-IoU pairs are left unmatched. Totals are summed in prediction
+    order, and an assignment is optimal when its total reaches the total of
+    the solver's own optimum, so optima that differ only by float rounding
+    (IoUs in tenths, say) may or may not tie. Among optimal assignments the
+    lexicographically smallest one (scanning predictions in order, lower
     ground-truth index first, unmatched last) is returned, which makes the
     result deterministic under ties.
     """
     m = _validate_matrix(matrix)
-    n_pred, n_gt = m.shape
-    if n_pred == 0 or n_gt == 0:
+    if m.size == 0:
         return Matching(())
 
-    rows, cols = linear_sum_assignment(m, maximize=True)
-    target = _canonical_total(
-        m, [(i, j) for i, j in zip(rows, cols) if m[i, j] > 0.0]
-    )
+    # Invariant: ``best`` is optimal and lexicographically smallest on the
+    # rows already visited. Row i keeps its column unless a lower free
+    # column, fixed with an optimal completion of the later rows, is
+    # optimal too.
+    best, target = _completion(m, [], 0)
+    for i in range(m.shape[0]):
+        prefix = [(r, c) for r, c in best if r < i]
+        used = {c for _, c in prefix}
+        kept = dict(best).get(i, m.shape[1])
+        for j in range(kept):
+            if j not in used and m[i, j] > 0.0:
+                pairs, total = _completion(m, prefix + [(i, j)], i + 1)
+                if total >= target:
+                    best = pairs
+                    break
 
-    fixed: list[tuple[int, int]] = []
-    used: set[int] = set()
-    for i in range(n_pred):
-        candidates = [j for j in range(n_gt) if j not in used and m[i, j] > 0.0]
-        chosen = None
-        best_total = -np.inf
-        for j in candidates + [None]:
-            if j is None:
-                total = _best_completion(m, fixed, i + 1, used)
-            else:
-                total = _best_completion(m, fixed + [(i, j)], i + 1, used | {j})
-            if total >= target:
-                chosen = j
-                break
-            if total > best_total:
-                chosen, best_total = j, total
-        if chosen is not None:
-            fixed.append((i, chosen))
-            used.add(chosen)
-
-    return Matching(tuple((i, j, float(m[i, j])) for i, j in fixed))
+    return Matching(tuple((i, j, float(m[i, j])) for i, j in best))
 
 
 def counts_at_threshold(match: Matching, n_pred: int, n_gt: int, tau: float) -> Counts:

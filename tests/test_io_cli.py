@@ -328,6 +328,14 @@ class TestCliEvalImage:
         code = main(["eval-image", "--gt", bad, "--pred", bad, "--report", str(tmp_path / "r.json")])
         assert code == 2
 
+    def test_report_in_missing_directory(self, tmp_path, capsys):
+        gt, pred = self.corpus_paths(tmp_path)
+        report = tmp_path / "nodir" / "r.json"
+        assert main(["eval-image", "--gt", gt, "--pred", pred, "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert f"validation error: {report}: cannot write file (no such directory)" in err
+        assert ".part" not in err
+
     def test_undefined_metric_exit_3(self, tmp_path):
         gt = write(tmp_path / "gt.json", minimal_gt_doc())
         pred = write(tmp_path / "pred.json", {"schema_version": 1, "predictions": []})
@@ -629,13 +637,32 @@ class TestCliSimulateTrackRejections:
         assert "validation error: cannot generate the scenario: could not place" in err
         assert not out.exists()
 
-    def simulate(self, tmp_path, name, size):
+    @pytest.mark.parametrize(
+        "gt_name, reason", [("nodir/g.json", "no such directory"), (".", "it is a directory")]
+    )
+    def test_simulate_checks_every_output_first(self, tmp_path, capsys, gt_name, reason):
+        dets, gt = tmp_path / "d.json", tmp_path / gt_name
+        assert main(["simulate", "--out-detections", str(dets), "--out-gt", str(gt)]) == 2
+        assert f"validation error: {gt}: cannot write file ({reason})" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def simulate(self, tmp_path, name, size, media_id="scenario"):
         doc = {"height": size, "width": size + 2, "frames": 6, "objects": 2, "max_size": 6}
         cfg = write(tmp_path / f"{name}.json", doc)
         dets, tracks = tmp_path / f"{name}_d.json", tmp_path / f"{name}_t.json"
         argv = ["simulate", "--config", cfg, "--out-detections", str(dets), "--out-tracks", str(tracks)]
-        assert main(argv) == 0
+        assert main([*argv, "--media-id", media_id]) == 0
         return str(dets), str(tracks)
+
+    def test_track_reference_of_another_media(self, tmp_path, capsys):
+        dets, _ = self.simulate(tmp_path, "a", 20, media_id="vidA")
+        _, tracks = self.simulate(tmp_path, "b", 20, media_id="vidB")
+        out = tmp_path / "out.json"
+        argv = ["track", "--detections", dets, "--propagator", "tracks", "--tracks", tracks]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"validation error: {tracks}: reference tracks are of media 'vidB', the detection stream of 'vidA'" in err
+        assert not out.exists()
 
     def test_track_reference_on_another_grid(self, tmp_path, capsys):
         dets, _ = self.simulate(tmp_path, "a", 20)

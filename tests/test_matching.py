@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from phraseseg import RleMask, counts_at_threshold, iom_nms, optimal_match
+from phraseseg import RleMask, counts_at_threshold, iom_nms, matching, optimal_match
 from phraseseg.matching import Matching
 
 from _reference import brute_match, greedy_match_total
@@ -65,15 +65,47 @@ class TestOptimalMatch:
 
     def test_tie_heavy_matrices_match_brute_force(self, rng):
         # quantized entries force many optimal assignments; the deterministic
-        # tie-break must agree with the enumeration oracle pair for pair
+        # tie-break must agree with the enumeration oracle pair for pair.
+        # Entries stay multiples of 1/8, so sums are exact and near-ties
+        # cannot round differently in the oracle.
         levels = np.array([0.0, 0.25, 0.5, 0.5, 1.0])
-        for _ in range(300):
-            n, m = rng.integers(1, 6, size=2)
+
+        def structured(n, m):
             matrix = levels[rng.integers(0, len(levels), size=(n, m))]
+            kind = rng.integers(0, 5)
+            if kind == 0:  # duplicated rows
+                matrix = matrix[rng.integers(0, n, size=n)]
+            elif kind == 1:  # duplicated columns
+                matrix = matrix[:, rng.integers(0, m, size=m)]
+            elif kind == 2:  # an all-equal block
+                r, c = rng.integers(0, n), rng.integers(0, m)
+                matrix[r:, c:] = rng.integers(1, 9) / 8
+            elif kind == 3:  # all-zero rows and columns
+                matrix[rng.random(n) < 0.3] = 0.0
+                matrix[:, rng.random(m) < 0.3] = 0.0
+            return matrix
+
+        shapes = [tuple(rng.integers(1, 6, size=2)) for _ in range(300)]
+        shapes += [(1, k) for k in range(1, 7)] + [(k, 1) for k in range(1, 7)]
+        for n, m in shapes * 2:
+            matrix = structured(n, m)
             got = optimal_match(matrix)
             pairs, total = brute_match(matrix.tolist())
             assert got.total() == total
             assert tuple((p, g) for p, g, _ in got.pairs) == pairs
+
+    def test_one_solve_without_ties(self, monkeypatch):
+        # one positive candidate per row: the first solve is already the
+        # lexicographically smallest optimum, so nothing is re-solved
+        calls = []
+        solve = matching.linear_sum_assignment
+        monkeypatch.setattr(
+            matching, "linear_sum_assignment", lambda *a, **k: calls.append(1) or solve(*a, **k)
+        )
+        perm = [3, 0, 4, 1, 2]
+        match = optimal_match(np.eye(5)[perm])
+        assert match.gt_for() == dict(enumerate(perm))
+        assert len(calls) == 1
 
     def test_dominates_greedy(self, rng):
         for _ in range(200):
