@@ -201,6 +201,9 @@ def _cmd_track(args) -> int:
         if grids[0] != grids[1]:
             errors.append(f"{args.tracks}: reference tracks are on a {grids[0]} grid, "
                           f"the detection stream on {grids[1]}")
+        if media.frames != stream.media.frames:
+            errors.append(f"{args.tracks}: reference tracks have {media.frames} frame(s), "
+                          f"the detection stream {stream.media.frames}")
         if errors:
             raise ValidationError(errors)
         propagator = sim.follow_reference(reference)
@@ -216,6 +219,11 @@ def _cmd_simulate(args) -> int:
     )
     if args.seed is not None:
         cfg = sim.ScenarioConfig(**{**cfg.__dict__, "seed": args.seed})
+    if args.out_gt and cfg.frames < 2:
+        # a one-frame media is an image, whose instances cannot be masklets
+        raise ValidationError(
+            [f"--out-gt needs a scenario of at least 2 frames, got {cfg.frames}"]
+        )
     io_schemas.check_writable(args.out_detections, args.out_gt, args.out_tracks)
     try:
         scenario = sim.gen_scenario(cfg)

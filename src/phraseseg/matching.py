@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .masks import FrameMaskSeq, RleMask, mask_iom, mask_iou
 
@@ -87,24 +87,87 @@ def _validate_matrix(matrix) -> np.ndarray:
     return m
 
 
-def _canonical_total(m: np.ndarray, pairs) -> float:
+def linear_sum_assignment(rows: list[list[float]]):
+    """Maximum-total assignment of a rectangular matrix given as row lists.
+
+    A plain-Python port of scipy's ``rectangular_lsap`` (Crouse, "On
+    implementing 2D rectangular assignment algorithms", IEEE TAES 2016) that
+    keeps its transpose, column scan order, tie rule and dual updates, so it
+    returns scipy's pairs. Returns ``(pairs, u, v)``: one ``(row, column)``
+    pair per row of the shorter side, in row order, and duals with
+    ``u[i] + v[j] >= rows[i][j]``, equal on the pairs and zero on every
+    unassigned row and column.
+    """
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    transpose = nc < nr
+    if transpose:
+        rows, nr, nc = [list(col) for col in zip(*rows)], nc, nr
+    # scipy minimizes the negated matrix; u and v hold its duals negated and
+    # every update flips the sign, which rounds exactly as scipy does
+    u, v = [0.0] * nr, [0.0] * nc
+    col4row, row4col, path = [-1] * nr, [-1] * nc, [-1] * nc
+    for cur in range(nr):
+        remaining = list(range(nc - 1, -1, -1))
+        costs = [math.inf] * nc
+        tree_rows, tree_cols = [], []
+        i, min_val, sink = cur, 0.0, -1
+        while sink < 0:
+            tree_rows.append(i)
+            row, ui = rows[i], u[i]
+            lowest, index = math.inf, -1
+            for it, j in enumerate(remaining):
+                r = min_val - row[j] + ui + v[j]
+                if r < costs[j]:
+                    path[j], costs[j] = i, r
+                else:
+                    r = costs[j]
+                if r < lowest or (r == lowest and row4col[j] < 0):
+                    lowest, index = r, it
+            min_val = lowest
+            j = remaining[index]
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            tree_cols.append(j)
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+        u[cur] -= min_val
+        for i in tree_rows[1:]:
+            u[i] -= min_val - costs[col4row[i]]
+        for j in tree_cols:
+            v[j] += min_val - costs[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        return sorted((r, c) for c, r in enumerate(col4row)), v, u
+    return list(enumerate(col4row)), u, v
+
+
+def _canonical_total(m: list[list[float]], pairs) -> float:
     # Sum in ascending row order, so equal pair sets give identical floats.
-    return float(sum(m[i, j] for i, j in sorted(pairs)))
+    # A plain loop: builtin ``sum`` rounds differently on Python >= 3.12.
+    total = 0.0
+    for i, j in sorted(pairs):
+        total += m[i][j]
+    return total
 
 
-def _completion(m: np.ndarray, prefix, next_row) -> tuple[list[tuple[int, int]], float]:
+def _completion(m: list[list[float]], prefix, next_row) -> tuple[list[tuple[int, int]], float]:
     # ``prefix`` plus one optimal assignment of rows ``next_row..`` to the
     # columns ``prefix`` leaves free (zero pairs dropped), with its total.
     used = {j for _, j in prefix}
-    rows = list(range(next_row, m.shape[0]))
-    cols = [j for j in range(m.shape[1]) if j not in used]
+    cols = [j for j in range(len(m[0])) if j not in used]
     pairs = list(prefix)
-    if rows and cols:
-        sub = m[np.ix_(rows, cols)]
-        rr, cc = linear_sum_assignment(sub, maximize=True)
-        pairs.extend(
-            (rows[r], cols[c]) for r, c in zip(rr, cc) if sub[r, c] > 0.0
-        )
+    if next_row < len(m) and cols:
+        sub = [[row[j] for j in cols] for row in m[next_row:]]
+        found, _, _ = linear_sum_assignment(sub)
+        pairs.extend((next_row + r, cols[c]) for r, c in found if sub[r][c] > 0.0)
     return pairs, _canonical_total(m, pairs)
 
 
@@ -118,28 +181,36 @@ def optimal_match(matrix) -> Matching:
     lexicographically smallest one (scanning predictions in order, lower
     ground-truth index first, unmatched last) is returned, which makes the
     result deterministic under ties.
+
+    The first solve's duals ``u, v`` bound every assignment that uses cell
+    ``(i, j)`` to the optimum minus its slack ``u[i] + v[j] - m[i][j]``, so
+    a lower column whose slack exceeds 1e-9 cannot reach the optimal total
+    and is skipped without a re-solve.
     """
     m = _validate_matrix(matrix)
     if m.size == 0:
         return Matching(())
+    m = m.tolist()
 
     # Invariant: ``best`` is optimal and lexicographically smallest on the
     # rows already visited. Row i keeps its column unless a lower free
     # column, fixed with an optimal completion of the later rows, is
     # optimal too.
-    best, target = _completion(m, [], 0)
-    for i in range(m.shape[0]):
+    found, u, v = linear_sum_assignment(m)
+    best = [(i, j) for i, j in found if m[i][j] > 0.0]
+    target = _canonical_total(m, best)
+    for i, row in enumerate(m):
         prefix = [(r, c) for r, c in best if r < i]
         used = {c for _, c in prefix}
-        kept = dict(best).get(i, m.shape[1])
+        kept = dict(best).get(i, len(row))
         for j in range(kept):
-            if j not in used and m[i, j] > 0.0:
+            if j not in used and row[j] > 0.0 and u[i] + v[j] - row[j] <= 1e-9:
                 pairs, total = _completion(m, prefix + [(i, j)], i + 1)
                 if total >= target:
                     best = pairs
                     break
 
-    return Matching(tuple((i, j, float(m[i, j])) for i, j in best))
+    return Matching(tuple((i, j, m[i][j]) for i, j in best))
 
 
 def counts_at_threshold(match: Matching, n_pred: int, n_gt: int, tau: float) -> Counts:

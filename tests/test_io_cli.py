@@ -646,8 +646,18 @@ class TestCliSimulateTrackRejections:
         assert f"validation error: {gt}: cannot write file ({reason})" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def simulate(self, tmp_path, name, size, media_id="scenario"):
-        doc = {"height": size, "width": size + 2, "frames": 6, "objects": 2, "max_size": 6}
+    def test_out_gt_needs_two_frames(self, tmp_path, capsys):
+        # a one-frame media loads as an image, so its masklets could not be read back
+        cfg = write(tmp_path / "cfg.json", {"frames": 1})
+        dets, gt = tmp_path / "d.json", tmp_path / "g.json"
+        argv = ["simulate", "--config", cfg, "--out-detections", str(dets), "--out-gt", str(gt)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "validation error: --out-gt needs a scenario of at least 2 frames, got 1" in err
+        assert not dets.exists() and not gt.exists()
+
+    def simulate(self, tmp_path, name, size, media_id="scenario", frames=6):
+        doc = {"height": size, "width": size + 2, "frames": frames, "objects": 2, "max_size": 6}
         cfg = write(tmp_path / f"{name}.json", doc)
         dets, tracks = tmp_path / f"{name}_d.json", tmp_path / f"{name}_t.json"
         argv = ["simulate", "--config", cfg, "--out-detections", str(dets), "--out-tracks", str(tracks)]
@@ -672,6 +682,16 @@ class TestCliSimulateTrackRejections:
         assert main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{tracks}: reference tracks are on a 24x26 grid, the detection stream on 20x22" in err
+        assert not out.exists()
+
+    def test_track_reference_of_another_length(self, tmp_path, capsys):
+        dets, _ = self.simulate(tmp_path, "a", 20)
+        _, tracks = self.simulate(tmp_path, "b", 20, frames=5)
+        out = tmp_path / "out.json"
+        argv = ["track", "--detections", dets, "--propagator", "tracks", "--tracks", tracks]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{tracks}: reference tracks have 5 frame(s), the detection stream 6" in err
         assert not out.exists()
 
     def test_tracks_without_tracks_propagator(self, tmp_path, capsys):

@@ -1,7 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phraseseg import RleMask, counts_at_threshold, iom_nms, matching, optimal_match
 from phraseseg.matching import Matching
@@ -112,6 +119,74 @@ class TestOptimalMatch:
             n, m = rng.integers(1, 7, size=2)
             matrix = rng.random((n, m))
             assert optimal_match(matrix).total() >= greedy_match_total(matrix.tolist()) - 1e-12
+
+
+def _matrices(max_side):
+    cell = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    sides = st.tuples(st.integers(1, max_side), st.integers(1, max_side))
+    return sides.flatmap(
+        lambda s: st.lists(
+            st.lists(cell, min_size=s[1], max_size=s[1]), min_size=s[0], max_size=s[0]
+        )
+    )
+
+
+def _structured(rng, n, k):
+    """A random matrix of one of the kinds that exercise the solver's ties."""
+    kind = rng.integers(0, 6)
+    if kind == 0:
+        return rng.random((n, k))
+    if kind == 1:  # 1/8 steps
+        return rng.integers(0, 9, size=(n, k)) / 8
+    if kind == 2:  # tenths, whose sums round
+        return rng.integers(0, 11, size=(n, k)) / 10
+    if kind == 3:  # duplicated rows or columns
+        m = rng.integers(0, 5, size=(n, k)) / 4
+        if rng.random() < 0.5:
+            return m[rng.integers(0, n, size=n)]
+        return m[:, rng.integers(0, k, size=k)]
+    if kind == 4:  # all equal
+        return np.full((n, k), rng.integers(0, 9) / 8)
+    return rng.random((n, k)) * 1e-9
+
+
+class TestSolver:
+    """``matching.linear_sum_assignment``, the in-repo port of scipy's solver."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_matrices(8))
+    def test_duals_certify_the_optimum(self, rows):
+        pairs, u, v = matching.linear_sum_assignment(rows)
+        assert len(pairs) == min(len(rows), len(rows[0]))
+        slack = [[u[i] + v[j] - x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        assert min(map(min, slack)) >= -1e-12
+        assert all(slack[i][j] <= 1e-12 for i, j in pairs)
+        matched_rows, matched_cols = {i for i, _ in pairs}, {j for _, j in pairs}
+        assert all(abs(x) <= 1e-12 for i, x in enumerate(u) if i not in matched_rows)
+        assert all(abs(x) <= 1e-12 for j, x in enumerate(v) if j not in matched_cols)
+        if len(rows) * len(rows[0]) <= 30:
+            total = sum(rows[i][j] for i, j in pairs)
+            assert total == pytest.approx(brute_match(rows)[1], rel=0.0, abs=1e-12)
+
+    def test_pairs_equal_scipy(self):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(11)
+        shapes = [tuple(rng.integers(1, 13, size=2)) for _ in range(30_000)]
+        shapes += [(1, k) for k in range(1, 13)] * 40 + [(k, 1) for k in range(1, 13)] * 40
+        for n, k in shapes:
+            m = _structured(rng, n, k)
+            rows, cols = scipy_optimize.linear_sum_assignment(m, maximize=True)
+            pairs, _, _ = matching.linear_sum_assignment(m.tolist())
+            assert pairs == list(zip(rows.tolist(), cols.tolist())), m
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = str(Path(matching.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import phraseseg.cli, sys; print([m for m in sys.modules if m.startswith('scipy')])"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestCounts:
