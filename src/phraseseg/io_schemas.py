@@ -570,8 +570,64 @@ def load_scenario_config(path) -> ScenarioConfig:
 # -- reports and atomic writes ------------------------------------------------
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _float_json(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _write_json(value, nl: str, out: list[str]):
+    """Append the JSON text of ``value`` to ``out``; ``nl`` is a newline plus
+    the indent of the line ``value`` starts on."""
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_json(value))
+    elif isinstance(value, (list, tuple, dict)) and not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, (list, tuple)):
+        inner = nl + "  "
+        if {*map(type, value)} == {int}:  # a mask's counts: one join, no bools
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(value, dict):
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(value):  # _escape raises TypeError on a key that is not a str
+            out.append(sep + _escape(key) + ": ")
+            _write_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def dumps_json(doc: Any) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte, for
+    documents of dicts with ``str`` keys, lists, tuples, strings, numbers,
+    booleans and ``None``; anything else raises ``TypeError``. ``json`` drops
+    to its pure-Python encoder whenever ``indent`` is set, which yields every
+    run length of a mask as its own chunk; this writer escapes strings with
+    ``json``'s C escaper and writes an all-int list in one join."""
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def check_writable(*paths):

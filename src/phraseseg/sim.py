@@ -88,8 +88,8 @@ def _rect_mask(height: int, width: int, box: BBox) -> RleMask:
 
 
 def _shifted(box: BBox, dx: int, dy: int, height: int, width: int) -> BBox:
-    x = int(np.clip(box.x + dx, 0, width - box.w))
-    y = int(np.clip(box.y + dy, 0, height - box.h))
+    x = min(max(box.x + dx, 0), width - box.w)
+    y = min(max(box.y + dy, 0), height - box.h)
     return BBox(x, y, box.w, box.h)
 
 
@@ -100,8 +100,8 @@ def _sample_trajectory(cfg: ScenarioConfig, rng: np.random.Generator) -> list[BB
     points = [(int(rng.integers(0, xs_max + 1)), int(rng.integers(0, ys_max + 1)))]
     for _ in range(cfg.waypoints - 1):
         px, py = points[-1]
-        nx = int(np.clip(px + rng.integers(-cfg.max_step, cfg.max_step + 1), 0, xs_max))
-        ny = int(np.clip(py + rng.integers(-cfg.max_step, cfg.max_step + 1), 0, ys_max))
+        nx = int(min(max(px + rng.integers(-cfg.max_step, cfg.max_step + 1), 0), xs_max))
+        ny = int(min(max(py + rng.integers(-cfg.max_step, cfg.max_step + 1), 0), ys_max))
         points.append((nx, ny))
     anchor_frames = np.linspace(0, cfg.frames - 1, cfg.waypoints)
     xs = np.interp(np.arange(cfg.frames), anchor_frames, [p[0] for p in points])

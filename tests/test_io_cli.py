@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phraseseg import ValidationError
 from phraseseg import io_schemas as io
@@ -1009,6 +1013,24 @@ class TestGoldenReports:
         assert main([command, "--gt", gt, "--pred", pred, *extra, "--report", str(report)]) == 0
         assert report.read_bytes() == (DATA / golden).read_bytes()
 
+    def test_golden_simulate_and_track_outputs(self, tmp_path):
+        # a noisy scenario, so detections carry float scores and masklets gaps
+        cfg = write(tmp_path / "cfg.json", {
+            "height": 24, "width": 32, "frames": 12, "objects": 3, "min_size": 4,
+            "max_size": 9, "miss_prob": 0.15, "fp_rate": 0.8, "distractor_prob": 0.5,
+            "jitter_px": 2, "prop_jitter_px": 1, "occlusions": [[1, 4, 6]], "seed": 5,
+        })
+        dets, gt, tracks, out = (
+            tmp_path / f"{n}.json" for n in ("detections", "gt", "tracks", "masklets")
+        )
+        assert main(["simulate", "--config", cfg, "--out-detections", str(dets),
+                     "--out-gt", str(gt), "--out-tracks", str(tracks)]) == 0
+        assert main(["track", "--detections", str(dets), "--propagator", "tracks",
+                     "--tracks", str(tracks), "--out", str(out)]) == 0
+        for path, golden in ((dets, "golden_sim_detections"), (gt, "golden_sim_gt"),
+                             (tracks, "golden_sim_tracks"), (out, "golden_track_masklets")):
+            assert path.read_bytes() == (DATA / f"{golden}.json").read_bytes(), golden
+
     def test_video_gold_files_are_the_corpus(self):
         gt_doc, pred_doc = build_video_corpus()
         assert json.loads((DATA / "video_corpus_gt.json").read_text()) == gt_doc
@@ -1190,3 +1212,41 @@ class TestLoadersRejectCoercion:
         instance = {"frames": {"0": self.FULL}, "frame_scores": {"1": 0.9, "01": 0.1}}
         code = self.eval_video(tmp_path, pred_instance=instance)
         self.assert_rejected(code, capsys, "frame_scores: frame key '01' is not a canonical integer")
+
+
+_TEXT = st.text(st.characters(blacklist_categories=())) | st.sampled_from(
+    ["", "é", "naïve 🙂", "\x00\x1f\x7f", '"quoted"', "back\\slash", "\ud800", "\udfff x", "\u2028"]
+)
+_INTS = st.integers() | st.integers(-(10**40), 10**40)
+_FLOATS = (
+    st.floats()
+    | st.sampled_from([-0.0, 1e-7, 1e16, math.nan, math.inf, -math.inf])
+    | st.floats().map(np.float64)
+)
+_SCALARS = st.none() | st.booleans() | _INTS | _FLOATS | _TEXT
+_LEAVES = _SCALARS | st.lists(_INTS) | st.lists(_INTS | st.booleans())
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestDumpsJson:
+    """``dumps_json`` writes exactly what ``json.dumps(indent=2, sort_keys=True)``
+    writes, and refuses what this schema never writes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_DOCS)
+    def test_matches_stdlib(self, doc):
+        assert io.dumps_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "value", [np.int64(3), {1, 2}, object(), {1: "a"}, {"a": [{("k",): 1}]}],
+        ids=["np.int64", "set", "object", "int key", "nested tuple key"],
+    )
+    def test_rejects_non_json(self, value):
+        with pytest.raises(TypeError):
+            io.dumps_json(value)
