@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Optional, Sequence
+from itertools import chain, groupby
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -206,7 +206,13 @@ def evaluate_annotation(
     """Match gated predictions against one annotation on IoU (volume IoU for
     masklets): one optimal matching on the raw values, re-thresholded per tau
     into TP/FP/FN and F1."""
-    matrix = iou_matrix([d.mask for d in gated_preds], list(gt_masks))
+    return _evaluate_matrix(iou_matrix([d.mask for d in gated_preds], list(gt_masks)), thresholds)
+
+
+def _evaluate_matrix(
+    matrix: np.ndarray, thresholds: Sequence[float] = IOU_THRESHOLDS
+) -> AnnotationEval:
+    """:func:`evaluate_annotation` on its IoU matrix, rows = predictions."""
     match = optimal_match(matrix)
     n_pred, n_gt = matrix.shape
     counts = tuple(counts_at_threshold(match, n_pred, n_gt, tau) for tau in thresholds)
@@ -436,8 +442,11 @@ def weighted_presence_mcc(
     tp = tn = fp = fn = 0.0
     for dp in dps:
         w = weight(dp)
-        if w < 0:
-            raise ValueError("datapoint weights must be non-negative")
+        if not 0.0 <= w < math.inf:  # false for NaN too
+            raise ValueError(
+                f"datapoint {dp.media_id}/{dp.phrase} has weight {w!r}; "
+                "weights must be finite and non-negative"
+            )
         positive = dp.is_positive(annotation_index)
         predicted = len(gate(dp.predictions, gate_threshold)) > 0
         if positive:
@@ -454,10 +463,20 @@ def _check_annotators(dps: Sequence[DataPoint]):
         raise ValueError("human protocols need at least 2 annotations per datapoint")
 
 
-def _annotator_pair(dp: DataPoint, g: int, p: int) -> AnnotationEval:
-    """Annotation ``p`` of ``dp``, as ungated predictions, scored against annotation ``g``."""
-    preds = tuple(Detection(mask=m, score=1.0) for m in dp.annotation_masks(p))
-    return evaluate_annotation(preds, dp.annotation_masks(g))
+def _annotator_pairs(dp: DataPoint, pairs: Iterable[tuple[int, int]]) -> list[AnnotationEval]:
+    """Each ordered pair ``(g, p)`` of ``dp``: annotation ``p``, as ungated
+    predictions, scored against annotation ``g``. The IoU matrix of an
+    unordered pair is computed once and the reverse order is scored on its
+    transpose, which is exact: ``mask_iou`` divides two integers that do not
+    depend on the argument order."""
+    matrices: dict[tuple[int, int], np.ndarray] = {}
+    evals = []
+    for g, p in pairs:
+        a, b = min(g, p), max(g, p)
+        if (a, b) not in matrices:
+            matrices[a, b] = iou_matrix(dp.annotation_masks(a), dp.annotation_masks(b))
+        evals.append(_evaluate_matrix(matrices[a, b] if p == a else matrices[a, b].T))
+    return evals
 
 
 def human_oracle(
@@ -470,7 +489,7 @@ def human_oracle(
     outcomes = []
     for dp in dps:
         k = len(dp.annotations)
-        evals = [_annotator_pair(dp, g, p) for g in range(k) for p in range(k) if p != g]
+        evals = _annotator_pairs(dp, [(g, p) for g in range(k) for p in range(k) if p != g])
         outcomes.append(evals[_best(evals)])
     return _fold(outcomes, mode, "image", "oracle", DEFAULT_GATE)
 
@@ -502,7 +521,9 @@ def random_pair(
     k = int(ks.max(initial=2))
     keys = (np.arange(len(dps)) * k + g) * k + p
     distinct, picks = np.unique(keys, return_inverse=True)
-    evals = [_annotator_pair(dps[key // (k * k)], key // k % k, key % k) for key in distinct.tolist()]
+    evals = []
+    for d, keys_of_dp in groupby(distinct.tolist(), key=lambda key: key // (k * k)):
+        evals += _annotator_pairs(dps[d], [(key // k % k, key % k) for key in keys_of_dp])
     return _fold(evals, mode, "image", "random-pair", DEFAULT_GATE, picks.reshape(keys.shape))
 
 

@@ -266,7 +266,7 @@ class FrameMaskSeq:
     def __post_init__(self):
         frames = dict(self.frames)
         for idx, mask in frames.items():
-            if not isinstance(idx, int) or idx < 0:
+            if isinstance(idx, bool) or not isinstance(idx, int) or idx < 0:
                 raise ValueError(f"frame index must be a non-negative int, got {idx!r}")
             if (mask.height, mask.width) != (self.height, self.width):
                 raise ValueError(

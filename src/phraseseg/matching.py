@@ -78,15 +78,6 @@ def iou_matrix(
     return out
 
 
-def _validate_matrix(matrix) -> np.ndarray:
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise ValueError("IoU matrix must be 2-D")
-    if m.size and (not np.all(np.isfinite(m)) or m.min() < 0.0 or m.max() > 1.0):
-        raise ValueError("IoU matrix entries must be finite values in [0, 1]")
-    return m
-
-
 def linear_sum_assignment(rows: list[list[float]]):
     """Maximum-total assignment of a rectangular matrix given as row lists.
 
@@ -182,15 +173,32 @@ def optimal_match(matrix) -> Matching:
     ground-truth index first, unmatched last) is returned, which makes the
     result deterministic under ties.
 
-    The first solve's duals ``u, v`` bound every assignment that uses cell
-    ``(i, j)`` to the optimum minus its slack ``u[i] + v[j] - m[i][j]``, so
-    a lower column whose slack exceeds 1e-9 cannot reach the optimal total
-    and is skipped without a re-solve.
+    When no row and no column holds two positive cells, every positive cell
+    is matched, in row order, without calling the solver. No assignment's
+    total exceeds theirs, because a float sum of non-negative terms never
+    drops when a term is added, and every other assignment leaves one of
+    them unmatched, so they are also the lexicographically smallest.
+    Otherwise the first solve's duals ``u, v`` bound every assignment that
+    uses cell ``(i, j)`` to the optimum minus its slack
+    ``u[i] + v[j] - m[i][j]``, so a lower column whose slack exceeds 1e-9
+    cannot reach the optimal total and is skipped without a re-solve.
     """
-    m = _validate_matrix(matrix)
-    if m.size == 0:
-        return Matching(())
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2:
+        raise ValueError("IoU matrix must be 2-D")
     m = m.tolist()
+    bad = "IoU matrix entries must be finite values in [0, 1]"
+    cells = []  # the positive cells, in row order
+    for i, row in enumerate(m):
+        for j, x in enumerate(row):
+            if x > 0.0:
+                if x > 1.0:  # also +inf
+                    raise ValueError(bad)
+                cells.append((i, j))
+            elif x != 0.0:  # negative, -inf or NaN; -0.0 passes
+                raise ValueError(bad)
+    if len({i for i, _ in cells}) == len({j for _, j in cells}) == len(cells):
+        return Matching(tuple((i, j, m[i][j]) for i, j in cells))
 
     # Invariant: ``best`` is optimal and lexicographically smallest on the
     # rows already visited. Row i keeps its column unless a lower free

@@ -55,6 +55,16 @@ def brute_match(matrix):
     return best_pairs, best_total
 
 
+def validate_matrix(matrix):
+    """The numpy checks ``optimal_match`` once ran on its input: a 2-D matrix
+    of finite values in [0, 1]. Raises ``ValueError`` with its message."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2:
+        raise ValueError("IoU matrix must be 2-D")
+    if m.size and (not np.all(np.isfinite(m)) or m.min() < 0.0 or m.max() > 1.0):
+        raise ValueError("IoU matrix entries must be finite values in [0, 1]")
+
+
 def greedy_match_total(matrix):
     """Greedy descending-IoU matching, for the dominance property."""
     entries = sorted(

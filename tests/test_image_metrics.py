@@ -517,3 +517,10 @@ class TestWeightedMccHook:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             weighted_presence_mcc([datapoint([])], lambda dp: -1.0)
+
+    @pytest.mark.parametrize("w", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, w):
+        dps = [datapoint([], media="a"), datapoint([m((0, 0))], [det(FULL, 0.9)], media="b")]
+        weights = {"a": 1.0, "b": w}
+        with pytest.raises(ValueError, match="datapoint b/thing has weight"):
+            weighted_presence_mcc(dps, lambda dp: weights[dp.media_id])

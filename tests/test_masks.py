@@ -267,6 +267,12 @@ class TestVolumeIoU:
         with pytest.raises(ValueError):
             FrameMaskSeq(2, 2, {0: RleMask.empty(3, 3)})
 
+    @pytest.mark.parametrize("idx", [True, False, -1, 1.0, "0"])
+    def test_sequence_rejects_non_int_frame_index(self, idx):
+        # a bool key would be written as frame "True", which no loader reads back
+        with pytest.raises(ValueError, match="frame index must be a non-negative int"):
+            FrameMaskSeq(2, 2, {idx: RleMask.empty(2, 2)})
+
 
 # -- run kernel against pixel sets ----------------------------------------------
 
@@ -378,3 +384,25 @@ class TestRunKernelMatchesPixelSets:
                 volume_iou(a, b)
         else:
             assert volume_iou(a, b) == set_iou(va, vb)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shapes.flatmap(lambda shape: st.tuples(
+        st.lists(grids(shape), max_size=3),
+        st.lists(grids(shape), max_size=3),
+    )))
+    def test_iou_matrix_transpose_is_bit_exact(self, case):
+        a, b = ([counts_mask(g) for g in side] for side in case)
+        assert iou_matrix(b, a).T.tobytes() == iou_matrix(a, b).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(shapes.flatmap(lambda shape: st.tuples(
+        st.lists(st.dictionaries(st.integers(0, 3), grids(shape), max_size=3), max_size=3),
+        st.lists(st.dictionaries(st.integers(0, 3), grids(shape), max_size=3), max_size=3),
+        st.sampled_from([0, 4]),  # 4 puts b's frames after every frame of a
+        st.just(shape),
+    )))
+    def test_iou_matrix_transpose_is_bit_exact_for_masklets(self, case):
+        frames_a, frames_b, offset, (h, w) = case
+        a = [seq(h, w, {t: counts_mask(g) for t, g in f.items()}) for f in frames_a]
+        b = [seq(h, w, {t + offset: counts_mask(g) for t, g in f.items()}) for f in frames_b]
+        assert iou_matrix(b, a).T.tobytes() == iou_matrix(a, b).tobytes()

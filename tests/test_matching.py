@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from phraseseg import RleMask, counts_at_threshold, iom_nms, matching, optimal_match
 from phraseseg.matching import Matching
 
-from _reference import brute_match, greedy_match_total
+from _reference import brute_match, greedy_match_total, validate_matrix
 from conftest import det, mask_from_pixels, rect_mask
 
 
@@ -102,16 +103,22 @@ class TestOptimalMatch:
             assert tuple((p, g) for p, g, _ in got.pairs) == pairs
 
     def test_one_solve_without_ties(self, monkeypatch):
-        # one positive candidate per row: the first solve is already the
-        # lexicographically smallest optimum, so nothing is re-solved
         calls = []
         solve = matching.linear_sum_assignment
         monkeypatch.setattr(
             matching, "linear_sum_assignment", lambda *a, **k: calls.append(1) or solve(*a, **k)
         )
+        # no row or column holds two positive cells: nothing is solved
         perm = [3, 0, 4, 1, 2]
         match = optimal_match(np.eye(5)[perm])
         assert match.gt_for() == dict(enumerate(perm))
+        assert len(calls) == 0
+        # positive cells conflict, but the first solve is already the
+        # lexicographically smallest optimum, so nothing is re-solved
+        matrix = [[0.3, 0.9, 0.0], [0.0, 0.6, 0.7], [0.0, 0.0, 0.2]]
+        match = optimal_match(matrix)
+        assert match.gt_for() == {0: 1, 1: 2}
+        assert tuple((p, g) for p, g, _ in match.pairs) == brute_match(matrix)[0]
         assert len(calls) == 1
 
     def test_dominates_greedy(self, rng):
@@ -119,6 +126,73 @@ class TestOptimalMatch:
             n, m = rng.integers(1, 7, size=2)
             matrix = rng.random((n, m))
             assert optimal_match(matrix).total() >= greedy_match_total(matrix.tolist()) - 1e-12
+
+
+@st.composite
+def _conflict_free(draw):
+    """A matrix whose positive cells share no row and no column: random,
+    tied or 1e-12-scale values; the other cells are 0.0 or -0.0."""
+    n, k = draw(st.one_of(
+        st.tuples(st.just(1), st.integers(1, 8)),
+        st.tuples(st.integers(1, 8), st.just(1)),
+        st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    ))
+    value = st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.sampled_from([0.25, 0.5, 1.0]),
+        st.floats(1e-13, 1e-11),
+    )
+    matrix = [[draw(st.sampled_from([0.0, -0.0])) for _ in range(k)] for _ in range(n)]
+    cols = draw(st.permutations(range(max(n, k))))
+    for i in range(n):
+        if cols[i] < k and draw(st.booleans()):
+            matrix[i][cols[i]] = draw(value)
+    return matrix
+
+
+def _outcome(check, matrix):
+    try:
+        check(matrix)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+_SPECIAL = [0.0, -0.0, 0.5, 1.0, 5e-324, -5e-324, -1e-12, np.nextafter(1.0, 2.0), 2.0,
+            np.nan, np.inf, -np.inf]
+
+
+class TestConflictFree:
+    @settings(max_examples=400, deadline=None)
+    @given(_conflict_free())
+    def test_equals_brute_force_without_a_solve(self, matrix):
+        def no_solve(rows):
+            raise AssertionError("solver called")
+
+        with mock.patch.object(matching, "linear_sum_assignment", no_solve):
+            got = optimal_match(matrix)
+        pairs, _ = brute_match(matrix)
+        assert tuple((p, g) for p, g, _ in got.pairs) == pairs
+        assert [iou for _, _, iou in got.pairs] == [matrix[p][g] for p, g in pairs]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+        lambda s: st.lists(st.sampled_from(_SPECIAL), min_size=s[0] * s[1], max_size=s[0] * s[1])
+        .map(lambda cells: np.array(cells, dtype=float).reshape(s))
+    ))
+    def test_validation_equals_numpy_checks(self, matrix):
+        # 0xk and kx0 arrays included; lists too, except the 0-row ones,
+        # which a nested list cannot express
+        assert _outcome(optimal_match, matrix) == _outcome(validate_matrix, matrix)
+        if len(matrix):
+            rows = matrix.tolist()
+            assert _outcome(optimal_match, rows) == _outcome(validate_matrix, rows)
+
+    @pytest.mark.parametrize("matrix", [[], [0.5], [[[0.5]]], np.zeros((2, 0, 1)), [[0.5], [0.5, 0.5]]])
+    def test_rejects_what_numpy_rejects(self, matrix):
+        expected = _outcome(validate_matrix, matrix)
+        assert expected is not None
+        assert _outcome(optimal_match, matrix) == expected
 
 
 def _matrices(max_side):
