@@ -10,6 +10,7 @@ product scaled to 0..100.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, groupby
 from typing import Callable, Iterable, Optional, Sequence
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import UndefinedMetricError
 from .masks import FrameMaskSeq, RleMask
-from .matching import DEFAULT_GATE, Counts, Detection, counts_at_threshold, gate, iou_matrix, optimal_match
+from .matching import DEFAULT_GATE, Detection, gate, iou_matrix, optimal_match, plain_sum
 
 # Generated with integer arithmetic so the grid carries no accumulated float drift.
 IOU_THRESHOLDS: tuple[float, ...] = tuple((50 + 5 * k) / 100 for k in range(10))
@@ -164,15 +165,21 @@ def combine_scores(presence: float, query_score: float) -> float:
     return presence * query_score
 
 
+def _f1(tp, size):
+    """F1 from TP counts and ``size`` = predictions + ground truths, which
+    equals 2TP + FP + FN at every threshold; 1.0 when both sides are empty.
+    Takes numpy arrays or ints."""
+    return np.where(size > 0, 2 * tp / np.maximum(size, 1), 1.0)
+
+
 @dataclass(frozen=True)
 class AnnotationEval:
-    """Outcome of one datapoint scored against one annotation: localization
-    counts and F1 per threshold, plus the presence facts the fold needs."""
+    """Outcome of one datapoint scored against one annotation: its sizes and
+    the TP count per threshold. FP = n_pred - TP and FN = n_gt - TP."""
 
     n_pred: int
     n_gt: int
-    counts: tuple[Counts, ...]
-    f1: tuple[float, ...]  # 1.0 when there is nothing to predict and nothing predicted
+    tp: tuple[int, ...]
 
     @property
     def positive(self) -> bool:
@@ -183,19 +190,16 @@ class AnnotationEval:
         return self.n_pred > 0
 
     @property
+    def f1(self) -> list[float]:
+        return _f1(np.array(self.tp), self.n_pred + self.n_gt).tolist()
+
+    @property
     def mean_f1(self) -> float:
-        return sum(self.f1) / len(self.f1)
+        return plain_sum(self.f1) / len(self.tp)
 
     @property
     def fn_fp_total(self) -> int:
-        return sum(c.fn + c.fp for c in self.counts)
-
-
-def _f1_from_counts(c: Counts) -> float:
-    denom = 2 * c.tp + c.fp + c.fn
-    if denom == 0:
-        return 1.0
-    return 2 * c.tp / denom
+        return sum(self.n_pred + self.n_gt - 2 * tp for tp in self.tp)
 
 
 def evaluate_annotation(
@@ -204,8 +208,8 @@ def evaluate_annotation(
     thresholds: Sequence[float] = IOU_THRESHOLDS,
 ) -> AnnotationEval:
     """Match gated predictions against one annotation on IoU (volume IoU for
-    masklets): one optimal matching on the raw values, re-thresholded per tau
-    into TP/FP/FN and F1."""
+    masklets): one optimal matching on the raw values, re-thresholded per tau:
+    a matched pair with IoU >= tau is a TP."""
     return _evaluate_matrix(iou_matrix([d.mask for d in gated_preds], list(gt_masks)), thresholds)
 
 
@@ -213,16 +217,16 @@ def _evaluate_matrix(
     matrix: np.ndarray, thresholds: Sequence[float] = IOU_THRESHOLDS
 ) -> AnnotationEval:
     """:func:`evaluate_annotation` on its IoU matrix, rows = predictions."""
-    match = optimal_match(matrix)
+    ious = sorted(iou for _, _, iou in optimal_match(matrix).pairs)
     n_pred, n_gt = matrix.shape
-    counts = tuple(counts_at_threshold(match, n_pred, n_gt, tau) for tau in thresholds)
-    return AnnotationEval(
-        n_pred=n_pred, n_gt=n_gt, counts=counts, f1=tuple(_f1_from_counts(c) for c in counts)
-    )
+    tp = tuple(len(ious) - bisect_left(ious, tau) for tau in thresholds)
+    return AnnotationEval(n_pred, n_gt, tp)
 
 
 def local_f1(dp: DataPoint, annotation_index: int, tau: float, gate_threshold: float = DEFAULT_GATE) -> float:
     """Local F1 of one positive datapoint at one IoU threshold."""
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(f"threshold must be in (0, 1], got {tau}")
     if not dp.is_positive(annotation_index):
         raise ValueError("local F1 is only defined for positive annotations")
     ev = evaluate_annotation(
@@ -283,24 +287,23 @@ def _fold(
     n_taus = len(IOU_THRESHOLDS)
     if picks is None:
         picks = np.arange(len(evals))[None]
-    # One all-zero outcome past the end stands in for negatives in the sums.
-    counts = np.zeros((len(evals) + 1, n_taus, 3), dtype=np.int64)
-    f1 = np.zeros((len(evals) + 1, n_taus))
-    flags = np.zeros((len(evals) + 1, 2), dtype=bool)
+    # Per outcome: TP per threshold, then n_pred and n_gt. One all-zero
+    # outcome past the end stands in for negatives in the sums.
+    counts = np.zeros((len(evals) + 1, n_taus + 2), dtype=np.int64)
     for e, ev in enumerate(evals):
-        counts[e] = [(c.tp, c.fp, c.fn) for c in ev.counts]
-        f1[e] = ev.f1
-        flags[e] = ev.positive, ev.predicted
-    positive, predicted = flags[picks, 0], flags[picks, 1]
+        counts[e] = *ev.tp, ev.n_pred, ev.n_gt
+    f1 = _f1(counts[:, :n_taus], counts[:, n_taus:].sum(axis=1, keepdims=True))
+    f1[-1] = 0.0  # the stand-in adds nothing to the macro sums
+    positive, predicted = counts[picks, -1] > 0, counts[picks, -2] > 0
     n_pos = positive.sum(axis=1)
     if not n_pos.all():
         raise UndefinedMetricError("localization F1 needs at least one positive datapoint")
 
     summed = np.where(positive, picks, len(evals))
-    # per-trial sums are (trials, taus, 3); split the last axis into TP, FP, FN
-    tp, fp, fn = np.moveaxis(np.stack([counts[row].sum(axis=0) for row in summed]), 2, 0)
-    denom = 2 * tp + fp + fn
-    micro_per_tau = np.where(denom > 0, 2 * tp / np.maximum(denom, 1), 1.0)
+    sums = np.stack([counts[row].sum(axis=0) for row in summed])
+    tp, n_pred, n_gt = sums[:, :n_taus], sums[:, -2:-1], sums[:, -1:]
+    fp, fn = n_pred - tp, n_gt - tp
+    micro_per_tau = _f1(tp, n_pred + n_gt)
     # fsum is exactly rounded, so folds are independent of datapoint order
     macro_per_tau = np.array([
         [math.fsum(col) / n for col in f1[row].T.tolist()]

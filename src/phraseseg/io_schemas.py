@@ -21,7 +21,7 @@ from typing import Any, Mapping, Optional, Sequence
 from .errors import ValidationError
 from .image_metrics import DataPoint, GtInstance, combine_scores
 from .masks import FrameMaskSeq, RleMask
-from .matching import Detection
+from .matching import Detection, plain_sum
 from .sim import ScenarioConfig
 from .tracker import TrackerConfig, TrackResult
 
@@ -230,7 +230,7 @@ def _parse_score(
         if not values or not all(_is_unit(v) for v in values):
             errs.add(where, "'frame_scores' must map frames to values in [0, 1]")
             return None
-        return float(sum(values) / len(values))
+        return plain_sum(values) / len(values)
     if not isinstance(inst, dict) or "score" not in inst:
         errs.add(where, "instance needs a 'score'")
         return None

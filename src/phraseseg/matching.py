@@ -1,4 +1,4 @@
-"""Optimal prediction/ground-truth assignment, TP/FP/FN counting, IoM NMS."""
+"""Optimal prediction/ground-truth assignment, IoU matrices, IoM NMS."""
 
 from __future__ import annotations
 
@@ -27,6 +27,15 @@ class Detection:
 DEFAULT_GATE = 0.5
 
 
+def plain_sum(values) -> float:
+    """Left-to-right float sum. Builtin ``sum`` compensates floats from
+    Python 3.12 on, so reported bytes would depend on the version."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def gate(items: Sequence[Detection], threshold: float = DEFAULT_GATE) -> tuple[Detection, ...]:
     """Keep the detections whose confidence is strictly greater than the gate."""
     return tuple(d for d in items if d.score > threshold)
@@ -51,20 +60,10 @@ class Matching:
             raise ValueError("matched pairs must have IoU in (0, 1]")
 
     def total(self) -> float:
-        return float(sum(iou for _, _, iou in self.pairs))
+        return plain_sum(iou for _, _, iou in self.pairs)
 
     def gt_for(self) -> dict[int, int]:
         return {p: g for p, g, _ in self.pairs}
-
-
-@dataclass(frozen=True)
-class Counts:
-    """TP/FP/FN at one IoU threshold."""
-
-    tp: int
-    fp: int
-    fn: int
-    tau: float
 
 
 def iou_matrix(
@@ -142,11 +141,7 @@ def linear_sum_assignment(rows: list[list[float]]):
 
 def _canonical_total(m: list[list[float]], pairs) -> float:
     # Sum in ascending row order, so equal pair sets give identical floats.
-    # A plain loop: builtin ``sum`` rounds differently on Python >= 3.12.
-    total = 0.0
-    for i, j in sorted(pairs):
-        total += m[i][j]
-    return total
+    return plain_sum(m[i][j] for i, j in sorted(pairs))
 
 
 def _completion(m: list[list[float]], prefix, next_row) -> tuple[list[tuple[int, int]], float]:
@@ -219,15 +214,6 @@ def optimal_match(matrix) -> Matching:
                     break
 
     return Matching(tuple((i, j, m[i][j]) for i, j in best))
-
-
-def counts_at_threshold(match: Matching, n_pred: int, n_gt: int, tau: float) -> Counts:
-    """Threshold a matching into counts: a matched pair with IoU >= tau is a TP,
-    every other prediction an FP, every ground truth outside a TP pair an FN."""
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {tau}")
-    tp = sum(1 for _, _, iou in match.pairs if iou >= tau)
-    return Counts(tp=tp, fp=n_pred - tp, fn=n_gt - tp, tau=tau)
 
 
 def _safe_iom(a: RleMask, b: RleMask) -> float:

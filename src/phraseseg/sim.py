@@ -273,12 +273,13 @@ def exemplar_policy(
 ) -> Optional[PromptEvent]:
     """Choose the next exemplar prompt from the current error pools.
 
-    Missed ground truths are candidate positive prompts; gated false-positive
-    predictions without significant ground-truth overlap are candidate
-    negatives. When both pools are non-empty one kind is picked uniformly at
-    random, then a member uniformly within the pool; with no candidates the
-    interaction stops. Prompts accumulate, so earlier events are the caller's
-    to keep in ``history``.
+    Missed non-empty ground truths are candidate positive prompts (an empty
+    one has no box to prompt with); gated false-positive predictions without
+    significant ground-truth overlap are candidate negatives. When both pools
+    are non-empty one kind is picked uniformly at random, then a member
+    uniformly within the pool; with no candidates the interaction stops.
+    Prompts accumulate, so earlier events are the caller's to keep in
+    ``history``.
     """
     if len(history) >= MAX_PROMPT_ITERATIONS:
         raise ValueError(f"prompt budget of {MAX_PROMPT_ITERATIONS} iterations exhausted")
@@ -289,7 +290,9 @@ def exemplar_policy(
     hit_gts = {g for _, g, iou in match.pairs if iou >= EXEMPLAR_IOU}
     hit_preds = {p for p, _, iou in match.pairs if iou >= EXEMPLAR_IOU}
 
-    positives = [bbox_of(gt_masks[g]) for g in range(len(gt_masks)) if g not in hit_gts]
+    positives = [
+        bbox_of(gt) for g, gt in enumerate(gt_masks) if g not in hit_gts and gt.area > 0
+    ]
     negatives = []
     for p, det in enumerate(gated):
         if p in hit_preds or det.mask.area == 0:

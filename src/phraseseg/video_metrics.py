@@ -11,6 +11,7 @@ own synthetic single-class sequence.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import UndefinedMetricError
 from .image_metrics import DataPoint, MetricReport, _report
 from .masks import FrameMaskSeq, RleMask, mask_iou
-from .matching import DEFAULT_GATE, Matching, gate, iou_matrix, optimal_match
+from .matching import DEFAULT_GATE, Matching, gate, iou_matrix, optimal_match, plain_sum
 
 # Localization threshold grid of the HOTA family (integer-derived, no drift).
 HOTA_ALPHAS: tuple[float, ...] = tuple((5 + 5 * k) / 100 for k in range(19))
@@ -123,14 +124,6 @@ class HotaResult:
         }
 
 
-@dataclass
-class _SequenceStats:
-    tp: np.ndarray
-    fn: np.ndarray
-    fp: np.ndarray
-    ass_sum: np.ndarray  # per alpha: sum over TPs of TPA / (TPA + FNA + FPA)
-
-
 def _frame_detections(tracks: Sequence[FrameMaskSeq], t: int) -> tuple[list[int], list[RleMask]]:
     """The indices and masks of the tracks with a non-empty mask on frame ``t``."""
     ids, masks = [], []
@@ -142,12 +135,11 @@ def _frame_detections(tracks: Sequence[FrameMaskSeq], t: int) -> tuple[list[int]
     return ids, masks
 
 
-def _sequence_stats(seq: RemappedSequence) -> _SequenceStats:
+def _sequence_stats(seq: RemappedSequence) -> tuple[np.ndarray, int, int, np.ndarray]:
+    """Per alpha TPs, the ground-truth and predicted detection totals, and per
+    alpha the sum over TPs of TPA / (TPA + FNA + FPA)."""
     n_alpha = len(HOTA_ALPHAS)
     n_gt, n_pred = len(seq.gt_tracks), len(seq.pred_tracks)
-    tp = np.zeros(n_alpha, dtype=np.int64)
-    fn = np.zeros(n_alpha, dtype=np.int64)
-    fp = np.zeros(n_alpha, dtype=np.int64)
     ass_sum = np.zeros(n_alpha)
     frames = sorted(
         {t for tr in seq.gt_tracks for t in tr.frames}
@@ -167,12 +159,12 @@ def _sequence_stats(seq: RemappedSequence) -> _SequenceStats:
         for a, gm in enumerate(gt_masks):
             for b, pm in enumerate(pred_masks):
                 sim[a, b] = mask_iou(gm, pm)
-        per_frame.append((gt_ids, pred_ids, sim))
         for i in gt_ids:
             gt_count[i] += 1
         for j in pred_ids:
             pred_count[j] += 1
         if sim.size:
+            per_frame.append((gt_ids, pred_ids, sim))
             denom = sim.sum(axis=1, keepdims=True) + sim.sum(axis=0, keepdims=True) - sim
             weighted = np.divide(sim, denom, out=np.zeros_like(sim), where=denom > 0)
             potential[np.ix_(gt_ids, pred_ids)] += weighted
@@ -182,32 +174,20 @@ def _sequence_stats(seq: RemappedSequence) -> _SequenceStats:
         denom = gt_count[:, None] + pred_count[None, :] - potential
         alignment = np.divide(potential, denom, out=alignment, where=denom > 0)
 
-    # Second pass: one matching per frame on alignment-weighted similarity,
-    # thresholded per alpha into TPs and per-pair match counts.
+    # Second pass: one matching per frame on alignment-weighted similarity. A
+    # matched pair with similarity s is a TP at every alpha <= s, the leading
+    # ones of the ascending grid.
     matches_count = np.zeros((n_alpha, n_gt, n_pred), dtype=np.int64)
     for gt_ids, pred_ids, sim in per_frame:
-        if not gt_ids:
-            fp += len(pred_ids)
-            continue
-        if not pred_ids:
-            fn += len(gt_ids)
-            continue
-        score = alignment[np.ix_(gt_ids, pred_ids)] * sim
-        match = optimal_match(score)
-        matched = [(a, b, sim[a, b]) for a, b, _ in match.pairs]
-        for k, alpha in enumerate(HOTA_ALPHAS):
-            hits = [(a, b) for a, b, s in matched if s >= alpha]
-            tp[k] += len(hits)
-            fn[k] += len(gt_ids) - len(hits)
-            fp[k] += len(pred_ids) - len(hits)
-            for a, b in hits:
-                matches_count[k, gt_ids[a], pred_ids[b]] += 1
+        match = optimal_match(alignment[np.ix_(gt_ids, pred_ids)] * sim)
+        for a, b, _ in match.pairs:
+            matches_count[: bisect_right(HOTA_ALPHAS, sim[a, b]), gt_ids[a], pred_ids[b]] += 1
 
     for k in range(n_alpha):
         cnt = matches_count[k]
         denom = np.maximum(1.0, gt_count[:, None] + pred_count[None, :] - cnt)
         ass_sum[k] = float(np.sum(cnt * (cnt / denom)))
-    return _SequenceStats(tp=tp, fn=fn, fp=fp, ass_sum=ass_sum)
+    return matches_count.sum(axis=(1, 2)), int(gt_count.sum()), int(pred_count.sum()), ass_sum
 
 
 def hota(track_set: RemappedTrackSet) -> HotaResult:
@@ -222,15 +202,15 @@ def hota(track_set: RemappedTrackSet) -> HotaResult:
 
     n_alpha = len(HOTA_ALPHAS)
     tp = np.zeros(n_alpha, dtype=np.int64)
-    fn = np.zeros(n_alpha, dtype=np.int64)
-    fp = np.zeros(n_alpha, dtype=np.int64)
     ass_sum = np.zeros(n_alpha)
+    n_gt = n_pred = 0  # detections: (track, frame) pairs with a non-empty mask
     for seq in track_set.sequences:
-        stats = _sequence_stats(seq)
-        tp += stats.tp
-        fn += stats.fn
-        fp += stats.fp
-        ass_sum += stats.ass_sum
+        seq_tp, seq_gt, seq_pred, seq_ass_sum = _sequence_stats(seq)
+        tp += seq_tp
+        n_gt += seq_gt
+        n_pred += seq_pred
+        ass_sum += seq_ass_sum
+    fn, fp = n_gt - tp, n_pred - tp
 
     per_alpha = []
     for k, alpha in enumerate(HOTA_ALPHAS):
@@ -248,8 +228,8 @@ def hota(track_set: RemappedTrackSet) -> HotaResult:
             )
         )
     return HotaResult(
-        hota=float(sum(s.hota for s in per_alpha) / n_alpha),
-        det_a=float(sum(s.det_a for s in per_alpha) / n_alpha),
-        ass_a=float(sum(s.ass_a for s in per_alpha) / n_alpha),
+        hota=plain_sum(s.hota for s in per_alpha) / n_alpha,
+        det_a=plain_sum(s.det_a for s in per_alpha) / n_alpha,
+        ass_a=plain_sum(s.ass_a for s in per_alpha) / n_alpha,
         per_alpha=tuple(per_alpha),
     )

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 import statistics
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -217,7 +219,8 @@ def reference_human_oracle(datapoints):
                     2 * tp / (2 * tp + fp + fn) if tp + fp + fn else 1.0
                     for tp, fp, fn in counts
                 ]
-                key = (sum(f1s) / len(f1s), -sum(fp + fn for _, fp, fn in counts))
+                # summed left to right, as builtin sum compensates from 3.12 on
+                key = (reduce(add, f1s, 0.0) / len(f1s), -sum(fp + fn for _, fp, fn in counts))
                 if best_key is None or key > best_key:
                     best_key, best = key, (gt_sets, [(s, 1.0) for s in pred_sets])
         chosen.append(best)
@@ -293,7 +296,8 @@ ALPHAS = [(5 + 5 * k) / 100 for k in range(19)]
 
 
 def reference_hota(sequences):
-    """HOTA / DetA / AssA by exhaustive per-frame matching enumeration.
+    """HOTA / DetA / AssA and per-alpha (TP, FN, FP) by exhaustive per-frame
+    matching enumeration.
 
     ``sequences`` is a list of (gt_tracks, pred_tracks), each track being a
     dict frame -> pixel set. Per-frame matchings maximize the product of
@@ -385,4 +389,5 @@ def reference_hota(sequences):
         "DetA": sum(det_a) / n_alpha,
         "AssA": sum(ass_a) / n_alpha,
         "per_alpha": list(zip(ALPHAS, det_a, ass_a, hota_a)),
+        "counts": list(zip(tp, fn, fp)),
     }

@@ -21,7 +21,7 @@ from phraseseg import (
     pm_f1,
     random_pair,
 )
-from phraseseg.image_metrics import human_oracle, weighted_presence_mcc
+from phraseseg.image_metrics import evaluate_annotation, human_oracle, weighted_presence_mcc
 
 from _reference import (
     reference_human_oracle,
@@ -85,6 +85,14 @@ class TestLocalF1:
         far = m((3, 3))
         dp = datapoint([gt], [det(pred, 0.9), det(far, 0.9)])
         assert local_f1(dp, 0, 0.5) == pytest.approx(2 / 3)
+
+    def test_iou_on_a_grid_value_is_a_tp(self):
+        # matched IoUs exactly 2/4 = 0.5 and 3/4 = 0.75: IoU >= tau holds at both
+        gt = [m((0, 0), (0, 1), (0, 2), (0, 3)), m((2, 0), (2, 1), (2, 2), (2, 3))]
+        preds = [det(m((0, 0), (0, 1))), det(m((2, 0), (2, 1), (2, 2)))]
+        assert evaluate_annotation(preds, gt).tp == (2, 1, 1, 1, 1, 1, 0, 0, 0, 0)
+        dp = datapoint(gt, preds)
+        assert [local_f1(dp, 0, tau) for tau in (0.5, 0.55, 0.75, 0.8)] == [1.0, 0.5, 0.5, 0.0]
 
     def test_negative_annotation_rejected(self):
         dp = datapoint([])

@@ -162,6 +162,21 @@ class TestRoundTrips:
         loaded = io.load_predictions(write(tmp_path / "p.json", doc), dataset)
         assert loaded[("vid", "box")][0].score == pytest.approx(0.7)
 
+    def test_video_frame_scores_mean_sums_left_to_right(self, tmp_path):
+        # builtin sum compensates floats from Python 3.12 on: 0.19999999999999998
+        dataset = io.Dataset(media={"vid": io.MediaInfo(id="vid", height=6, width=6, frames=3)})
+        mask = rect_mask(6, 6, 0, 0, 2, 2)
+        instance = {
+            "frames": {"0": {"counts": list(mask.counts)}},
+            "frame_scores": {"0": 0.1, "1": 0.2, "2": 0.3},
+        }
+        doc = {
+            "schema_version": 1,
+            "predictions": [{"media_id": "vid", "phrase": "box", "instances": [instance]}],
+        }
+        loaded = io.load_predictions(write(tmp_path / "p.json", doc), dataset)
+        assert loaded[("vid", "box")][0].score == 0.20000000000000004
+
     def test_video_frame_scores_validated(self, tmp_path):
         vmedia = io.MediaInfo(id="vid", height=6, width=6, frames=2)
         dataset = io.Dataset(media={"vid": vmedia})

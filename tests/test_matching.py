@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phraseseg import RleMask, counts_at_threshold, iom_nms, matching, optimal_match
-from phraseseg.matching import Matching
+from phraseseg import IOU_THRESHOLDS, RleMask, iom_nms, local_f1, matching, optimal_match
+from phraseseg.image_metrics import _evaluate_matrix
 
 from _reference import brute_match, greedy_match_total, validate_matrix
-from conftest import det, mask_from_pixels, rect_mask
+from conftest import datapoint, det, mask_from_pixels, rect_mask
 
 
 class TestOptimalMatch:
@@ -264,55 +264,67 @@ class TestSolver:
 
 
 class TestCounts:
+    """One matching thresholded per tau: a matched pair with IoU >= tau is a
+    TP, FP = n_pred - TP and FN = n_gt - TP."""
+
+    @staticmethod
+    def counts(ev, k=0):
+        return ev.tp[k], ev.n_pred - ev.tp[k], ev.n_gt - ev.tp[k]
+
+    @staticmethod
+    def spec_example():
+        # two predictions, one ground truth; the matched pair has IoU 3/5 = 0.6
+        gt = mask_from_pixels(4, 4, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)])
+        pred = mask_from_pixels(4, 4, [(0, 0), (0, 1), (0, 2)])
+        far = mask_from_pixels(4, 4, [(3, 3)])
+        return datapoint([gt], [det(pred, 0.9), det(far, 0.9)])
+
     def test_spec_example_low_threshold(self):
-        match = Matching(((0, 0, 0.6),))
-        c = counts_at_threshold(match, n_pred=2, n_gt=1, tau=0.5)
-        assert (c.tp, c.fp, c.fn) == (1, 1, 0)
+        ev = _evaluate_matrix(np.array([[0.6], [0.0]]), (0.5,))
+        assert self.counts(ev) == (1, 1, 0)
+        assert local_f1(self.spec_example(), 0, 0.5) == 2 / 3
 
     def test_spec_example_high_threshold(self):
-        match = Matching(((0, 0, 0.6),))
-        c = counts_at_threshold(match, n_pred=2, n_gt=1, tau=0.75)
-        assert (c.tp, c.fp, c.fn) == (0, 2, 1)
+        ev = _evaluate_matrix(np.array([[0.6], [0.0]]), (0.75,))
+        assert self.counts(ev) == (0, 2, 1)
+        assert local_f1(self.spec_example(), 0, 0.75) == 0.0
 
     def test_perfect(self):
-        match = Matching(tuple((i, i, 1.0) for i in range(4)))
-        for tau in (0.5, 0.75, 1.0):
-            c = counts_at_threshold(match, 4, 4, tau)
-            assert (c.tp, c.fp, c.fn) == (4, 0, 0)
+        ev = _evaluate_matrix(np.eye(4), (0.5, 0.75, 1.0))
+        for k in range(3):
+            assert self.counts(ev, k) == (4, 0, 0)
+        assert ev.f1 == [1.0, 1.0, 1.0]
 
     def test_invalid_tau(self):
-        with pytest.raises(ValueError):
-            counts_at_threshold(Matching(()), 0, 0, 0.0)
-        with pytest.raises(ValueError):
-            counts_at_threshold(Matching(()), 0, 0, 1.1)
+        dp = self.spec_example()
+        for tau in (0.0, 1.1):
+            with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\]"):
+                local_f1(dp, 0, tau)
 
     def test_single_matching_rethresholded(self):
         # the matching is computed once on raw IoU: the max-total assignment
         # here pairs (0.55, 0.5), so at tau 0.6 there are no TPs even though
         # a tau-specific rematch could have scored prediction 0 against
         # ground truth 0 (IoU 0.6)
-        match = optimal_match([[0.6, 0.55], [0.5, 0.0]])
-        assert match.gt_for() == {0: 1, 1: 0}
-        c = counts_at_threshold(match, 2, 2, 0.6)
-        assert (c.tp, c.fp, c.fn) == (0, 2, 2)
+        matrix = np.array([[0.6, 0.55], [0.5, 0.0]])
+        assert optimal_match(matrix).gt_for() == {0: 1, 1: 0}
+        assert self.counts(_evaluate_matrix(matrix, (0.6,))) == (0, 2, 2)
 
     def test_threshold_grid_exact(self):
-        from phraseseg import IOU_THRESHOLDS
-
         assert IOU_THRESHOLDS == (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 
     def test_tp_monotone_and_totals_constant(self, rng):
         for _ in range(50):
             n, m = rng.integers(1, 6, size=2)
-            match = optimal_match(rng.random((n, m)))
-            taus = [(50 + 5 * k) / 100 for k in range(10)]
-            counts = [counts_at_threshold(match, n, m, t) for t in taus]
-            for prev, cur in zip(counts, counts[1:]):
-                assert cur.tp <= prev.tp
-            assert len({c.tp + c.fp for c in counts}) == 1
-            assert len({c.tp + c.fn for c in counts}) == 1
-            assert counts[0].tp + counts[0].fp == n
-            assert counts[0].tp + counts[0].fn == m
+            matrix = rng.random((n, m))
+            ev = _evaluate_matrix(matrix)
+            ious = [iou for _, _, iou in optimal_match(matrix).pairs]
+            assert ev.tp == tuple(sum(iou >= t for iou in ious) for t in IOU_THRESHOLDS)
+            assert list(ev.tp) == sorted(ev.tp, reverse=True)
+            assert (ev.n_pred, ev.n_gt) == (n, m)
+            assert ev.tp[0] <= min(n, m)
+            assert ev.fn_fp_total == sum(n + m - 2 * tp for tp in ev.tp)
+            assert ev.f1 == [2 * tp / (n + m) for tp in ev.tp]
 
 
 class TestIomNms:

@@ -177,6 +177,12 @@ class TestExemplarPolicy:
         assert event.box == BBox(0, 0, 4, 4)
         assert event.iteration == 0
 
+    def test_empty_gt_is_not_a_positive_candidate(self):
+        assert exemplar_policy([], [RleMask.empty(8, 8)], [], 0) is None
+        gt = [RleMask.empty(16, 16), *self.gt((2, 2, 4, 4))]
+        for seed in range(5):
+            assert exemplar_policy([], gt, [], seed).box == BBox(2, 2, 4, 4)
+
     def test_disjoint_fp_gives_negative_prompt(self):
         gt = self.gt((0, 0, 4, 4))
         preds = [det(rect_mask(16, 16, 0, 0, 4, 4), 0.9), det(rect_mask(16, 16, 10, 10, 3, 3), 0.9)]

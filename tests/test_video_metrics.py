@@ -333,6 +333,7 @@ class TestHota:
                 frames = int(rng.integers(1, 6))
                 gts = []
                 preds = []
+                # frame ``frames`` holds only ground truth, ``frames + 1`` only predictions
                 for _ in range(n_gt):
                     gts.append(
                         seq(
@@ -342,7 +343,8 @@ class TestHota:
                                 t: random_mask(rng, 5, 5, 0.5)
                                 for t in range(frames)
                                 if rng.random() < 0.8
-                            },
+                            }
+                            | {frames: rect_mask(5, 5, 0, 0, 2, 2)},
                         )
                     )
                 for _ in range(n_pred):
@@ -355,7 +357,8 @@ class TestHota:
                                     t: random_mask(rng, 5, 5, 0.5)
                                     for t in range(frames)
                                     if rng.random() < 0.8
-                                },
+                                }
+                                | {frames + 1: rect_mask(5, 5, 3, 3, 2, 2)},
                             ),
                             0.9,
                         )
@@ -382,6 +385,7 @@ class TestHota:
             assert got.hota == pytest.approx(expected["HOTA"], abs=1e-9)
             assert got.det_a == pytest.approx(expected["DetA"], abs=1e-9)
             assert got.ass_a == pytest.approx(expected["AssA"], abs=1e-9)
+            assert [(a.tp, a.fn, a.fp) for a in got.per_alpha] == expected["counts"]
 
     def test_alpha_grid(self):
         assert len(HOTA_ALPHAS) == 19
