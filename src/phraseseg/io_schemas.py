@@ -20,7 +20,7 @@ from typing import Any, Mapping, Optional, Sequence
 
 from .errors import ValidationError
 from .image_metrics import DataPoint, GtInstance, combine_scores
-from .masks import FrameMaskSeq, RleMask
+from .masks import FrameMaskSeq, RleMask, _RunLengthsError
 from .matching import Detection, plain_sum
 from .sim import ScenarioConfig
 from .tracker import TrackerConfig, TrackResult
@@ -133,18 +133,18 @@ def _parse_rle(obj, media: MediaInfo, where: str, errs: _Collector) -> Optional[
         errs.add(where, "mask must be an object with a 'counts' array")
         return None
     counts = obj["counts"]
-    if (
-        not isinstance(counts, list)
-        or not {*map(type, counts)} <= {int}  # unlike isinstance, rejects JSON true/false
-        or min(counts, default=0) < 0
-    ):
-        errs.add(where, "'counts' must be a list of non-negative integers")
-        return None
-    try:
-        return RleMask(media.height, media.width, tuple(counts))
-    except ValueError as exc:
-        errs.add(where, str(exc))
-        return None
+    if isinstance(counts, list):
+        try:
+            # RleMask checks the run types once (JSON true/false fails); the
+            # loader words that one failure its own way
+            return RleMask(media.height, media.width, counts)
+        except _RunLengthsError:
+            pass
+        except ValueError as exc:
+            errs.add(where, str(exc))
+            return None
+    errs.add(where, "'counts' must be a list of non-negative integers")
+    return None
 
 
 def _parse_frame_masks(

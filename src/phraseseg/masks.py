@@ -7,7 +7,11 @@ immutable after construction and every operation is a pure function.
 
 The geometry kernels read areas, boxes and overlaps straight from the runs, as
 the COCO mask API does (``rleArea``, ``rleToBbox``, ``rleIou``); none of them
-decodes a mask to a dense grid.
+decodes a mask to a dense grid. A mask's first comparison caches its
+foreground runs as column-major offsets. Two masks whose column spans (from
+the first foreground pixel's column to the last one's) do not meet share no
+pixel; otherwise only the runs inside the shared columns are merged. The
+tight bounding box is computed, and cached, for ``bbox_of`` only.
 """
 
 from __future__ import annotations
@@ -22,7 +26,18 @@ import numpy as np
 from .errors import UndefinedMetricError
 
 
-@dataclass(frozen=True)
+class _RunLengthsError(ValueError):
+    """Run lengths that are not all non-negative ints; the loader words this
+    error its own way."""
+
+
+def _grid_error(height, width) -> ValueError:
+    if type(height) is not int or type(width) is not int:  # rejects bool and float
+        return ValueError(f"mask grid sizes must be ints, got height {height!r}, width {width!r}")
+    return ValueError(f"mask grid must be non-empty, got {height}x{width}")
+
+
+@dataclass(frozen=True, slots=True)
 class RleMask:
     """A binary mask on a fixed ``height x width`` grid, stored as run lengths.
 
@@ -35,48 +50,45 @@ class RleMask:
     width: int
     counts: tuple[int, ...]
     area: int = field(init=False, repr=False, compare=False)
+    # caches, unset until first use: the foreground runs (see _runs_of), the
+    # bounding box and the dense grid
+    _runs: list[int] = field(init=False, repr=False, compare=False)
+    _box: BBox = field(init=False, repr=False, compare=False)
+    _dense: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.height <= 0 or self.width <= 0:
-            raise ValueError(f"mask grid must be non-empty, got {self.height}x{self.width}")
+        height, width = self.height, self.width
+        if type(height) is not int or type(width) is not int or height <= 0 or width <= 0:
+            raise _grid_error(height, width)
         counts = tuple(self.counts)
         if not counts:
             raise ValueError("counts must contain at least one run")
         if not {*map(type, counts)} <= {int} or min(counts) < 0:  # rejects bool and float
-            raise ValueError("run lengths must be non-negative integers")
+            raise _RunLengthsError("run lengths must be non-negative integers")
         total = sum(counts)
-        if total != self.height * self.width:
-            raise ValueError(
-                f"run lengths sum to {total}, expected {self.height * self.width}"
-            )
-        if not _is_canonical(counts):
+        if total != height * width:
+            raise ValueError(f"run lengths sum to {total}, expected {height * width}")
+        if 0 in counts and not _is_canonical(counts):
             counts = _canonicalize(counts)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "area", sum(counts[1::2]))
 
-    def _runs_box(self) -> tuple[list[int], Optional[tuple[int, int, int, int]]]:
-        """Foreground runs as flat column-major ``[start, end)`` offsets
-        ``[s0, e0, s1, e1, ...]``, and the tight inclusive box
-        ``(x0, y0, x1, y1)``, ``None`` for an empty mask. Cached."""
-        cached = self.__dict__.get("_runs_box_cache")
-        if cached is None:
-            # The cumulative sums are the run boundaries; a canonical mask's
-            # foreground runs are non-empty and separated by background.
-            runs = list(accumulate(self.counts))[: len(self.counts) // 2 * 2]
-            cached = (runs, _box_of_runs(runs, self.height))
-            object.__setattr__(self, "_runs_box_cache", cached)
-        return cached
+    def __reduce__(self):
+        # unset cache slots cannot be pickled; rebuild from the fields
+        return type(self), (self.height, self.width, self.counts)
 
     def decode(self) -> np.ndarray:
         """Dense boolean grid, shape ``(height, width)``. Cached; do not mutate."""
-        dense = self.__dict__.get("_dense")
-        if dense is None:
-            values = np.zeros(len(self.counts), dtype=bool)
-            values[1::2] = True
-            flat = np.repeat(values, np.asarray(self.counts, dtype=np.int64))
-            dense = flat.reshape((self.height, self.width), order="F")
-            dense.setflags(write=False)
-            object.__setattr__(self, "_dense", dense)
+        try:
+            return self._dense
+        except AttributeError:
+            pass
+        values = np.zeros(len(self.counts), dtype=bool)
+        values[1::2] = True
+        flat = np.repeat(values, np.asarray(self.counts, dtype=np.int64))
+        dense = flat.reshape((self.height, self.width), order="F")
+        dense.setflags(write=False)
+        object.__setattr__(self, "_dense", dense)
         return dense
 
     @classmethod
@@ -106,6 +118,18 @@ def _canonicalize(counts) -> tuple[int, ...]:
     return tuple(merged)
 
 
+def _runs_of(mask: RleMask) -> list[int]:
+    """Foreground runs as flat column-major ``[start, end)`` offsets
+    ``[s0, e0, s1, e1, ...]``, cached on the mask. The cumulative sums of the
+    counts are the run boundaries; a canonical mask's foreground runs are
+    non-empty and separated by background, so the offsets strictly increase."""
+    runs = list(accumulate(mask.counts))
+    if len(runs) & 1:
+        runs.pop()  # the end of the trailing background run
+    object.__setattr__(mask, "_runs", runs)
+    return runs
+
+
 def rle_encode(grid) -> RleMask:
     """Encode a rectangular binary grid, scanning columns first."""
     arr = np.asarray(grid)
@@ -126,52 +150,42 @@ def rle_decode(mask: RleMask) -> np.ndarray:
     return mask.decode().copy()
 
 
-def _check_same_grid(a: RleMask | FrameMaskSeq, b: RleMask | FrameMaskSeq):
+def _mismatch(a: RleMask | FrameMaskSeq, b: RleMask | FrameMaskSeq) -> ValueError:
     if type(a) is not type(b):
-        raise ValueError(f"mask kinds differ: {type(a).__name__} vs {type(b).__name__}")
-    if (a.height, a.width) != (b.height, b.width):
-        raise ValueError(
-            f"mask grids differ: {a.height}x{a.width} vs {b.height}x{b.width}"
-        )
+        return ValueError(f"mask kinds differ: {type(a).__name__} vs {type(b).__name__}")
+    return ValueError(f"mask grids differ: {a.height}x{a.width} vs {b.height}x{b.width}")
 
 
-def _box_of_runs(runs: list[int], height: int) -> Optional[tuple[int, int, int, int]]:
-    if not runs:
-        return None
-    starts, lasts = runs[::2], [end - 1 for end in runs[1::2]]
-    cols = [start // height for start in starts]
-    x0, x1 = cols[0], lasts[-1] // height
-    if cols != [last // height for last in lasts]:
-        # a run wraps from row height-1 of one column to row 0 of the next
-        return x0, 0, x1, height - 1
-    return x0, min([start % height for start in starts]), x1, max([last % height for last in lasts])
-
-
-def _window(runs: list[int], lo: int, hi: int) -> tuple[int, int]:
-    """Flat indices ``(i, end)``: the runs that meet the offsets ``[lo, hi)``
-    are those starting at an even index from ``i`` up to, not including, ``end``."""
-    i = bisect_right(runs, lo)
-    return i - (i & 1), bisect_left(runs, hi, i)
-
-
-def intersection_area(a: RleMask | FrameMaskSeq, b: RleMask | FrameMaskSeq) -> int:
-    """Pixels in both masks, by merging their runs inside the boxes' overlap;
-    for two masklets, the sum over their common frames."""
-    _check_same_grid(a, b)
-    if a.area == 0 or b.area == 0:
+def _overlap(a: RleMask, b: RleMask) -> int:
+    """Pixels in both of two masks on one grid. Masks whose column spans do
+    not meet share none; otherwise the runs inside the shared columns are
+    merged."""
+    if not a.area or not b.area:
         return 0
-    if isinstance(a, FrameMaskSeq):
-        common = a.frames.keys() & b.frames.keys()
-        return sum(intersection_area(a.frames[t], b.frames[t]) for t in common)
-    ra, (ax0, ay0, ax1, ay1) = a._runs_box()
-    rb, (bx0, by0, bx1, by1) = b._runs_box()
-    if ax0 > bx1 or bx0 > ax1 or ay0 > by1 or by0 > ay1:
+    try:
+        ra = a._runs
+    except AttributeError:
+        ra = _runs_of(a)
+    try:
+        rb = b._runs
+    except AttributeError:
+        rb = _runs_of(b)
+    h = a.height
+    # the columns of each mask's first and last foreground pixel
+    a0, a1, b0, b1 = ra[0] // h, (ra[-1] - 1) // h, rb[0] // h, (rb[-1] - 1) // h
+    if a0 > b1 or b0 > a1:
         return 0
-    # every common pixel lies between these column-major offsets
-    lo = max(ax0, bx0) * a.height + max(ay0, by0)
-    hi = min(ax1, bx1) * a.height + min(ay1, by1) + 1
-    i, i_end = _window(ra, lo, hi)
-    j, j_end = _window(rb, lo, hi)
+    # every common pixel lies in the shared columns, offsets [lo, hi); the
+    # runs that meet them start at an even index from i (j) up to, not
+    # including, i_end (j_end)
+    lo = (a0 if a0 > b0 else b0) * h
+    hi = ((a1 if a1 < b1 else b1) + 1) * h
+    i = bisect_right(ra, lo)
+    i -= i & 1
+    i_end = bisect_left(ra, hi, i)
+    j = bisect_right(rb, lo)
+    j -= j & 1
+    j_end = bisect_left(rb, hi, j)
     if i >= i_end or j >= j_end:
         return 0
     # two pointers: step past whichever current run ends first; max() is
@@ -195,26 +209,48 @@ def intersection_area(a: RleMask | FrameMaskSeq, b: RleMask | FrameMaskSeq) -> i
             start_b, end_b = rb[j], rb[j + 1]
 
 
+def _volume_overlap(a: FrameMaskSeq, b: FrameMaskSeq) -> int:
+    """Voxels in both of two masklets on one grid: the overlap summed over
+    their common frames, whose grids ``FrameMaskSeq`` has already checked."""
+    if not a.area or not b.area:
+        return 0
+    frames_b = b.frames
+    return sum([_overlap(m, frames_b[t]) for t, m in a.frames.items() if t in frames_b])
+
+
+def intersection_area(a: RleMask | FrameMaskSeq, b: RleMask | FrameMaskSeq) -> int:
+    """Pixels in both masks; for two masklets, the sum over their common frames."""
+    if type(a) is not type(b) or a.height != b.height or a.width != b.width:
+        raise _mismatch(a, b)
+    return _overlap(a, b) if type(a) is RleMask else _volume_overlap(a, b)
+
+
 def mask_iou(a: RleMask | FrameMaskSeq, b: RleMask | FrameMaskSeq) -> float:
     """Intersection over union (of volumes for masklets); two empty masks have IoU 0."""
-    inter = intersection_area(a, b)
+    if type(a) is not type(b) or a.height != b.height or a.width != b.width:
+        raise _mismatch(a, b)
+    inter = _overlap(a, b) if type(a) is RleMask else _volume_overlap(a, b)
     union = a.area + b.area - inter
     if union == 0:
         return 0.0
     return inter / union
 
 
-def mask_iom(a: RleMask, b: RleMask) -> float:
-    """Intersection over the smaller area, used to spot whole-vs-part nesting.
+def mask_iom(a: RleMask | FrameMaskSeq, b: RleMask | FrameMaskSeq) -> float:
+    """Intersection over the smaller area (volume for masklets), used to spot
+    whole-vs-part nesting.
 
     Undefined (raises) when both masks are empty; 0 when exactly one is.
     """
-    _check_same_grid(a, b)
-    if a.area == 0 and b.area == 0:
+    if type(a) is not type(b) or a.height != b.height or a.width != b.width:
+        raise _mismatch(a, b)
+    area_a, area_b = a.area, b.area
+    if not area_a or not area_b:
+        if area_a or area_b:
+            return 0.0
         raise UndefinedMetricError("IoM is undefined for two empty masks")
-    if a.area == 0 or b.area == 0:
-        return 0.0
-    return intersection_area(a, b) / min(a.area, b.area)
+    inter = _overlap(a, b) if type(a) is RleMask else _volume_overlap(a, b)
+    return inter / (area_a if area_a < area_b else area_b)
 
 
 @dataclass(frozen=True)
@@ -236,11 +272,34 @@ class BBox:
 
 
 def bbox_of(mask: RleMask) -> BBox:
-    """Tight bounding box of a non-empty mask."""
+    """Tight bounding box of a non-empty mask. Cached."""
+    try:
+        return mask._box
+    except AttributeError:
+        pass
     if mask.area == 0:
         raise ValueError("empty mask has no bounding box")
-    x0, y0, x1, y1 = mask._runs_box()[1]
-    return BBox(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
+    try:
+        runs = mask._runs
+    except AttributeError:
+        runs = _runs_of(mask)
+    h = mask.height
+    y0, y1 = h, 0
+    flat = iter(runs)
+    for start, end in zip(flat, flat):
+        row = start % h
+        last = row + end - start - 1  # the row of the run's last pixel, unless it wraps
+        if last >= h:  # the run wraps from row h-1 of one column to row 0 of the next
+            y0, y1 = 0, h - 1
+            break
+        if row < y0:
+            y0 = row
+        if last > y1:
+            y1 = last
+    x0, x1 = runs[0] // h, (runs[-1] - 1) // h
+    box = BBox(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
+    object.__setattr__(mask, "_box", box)
+    return box
 
 
 def bbox_iou(a: BBox, b: BBox) -> float:
@@ -264,14 +323,19 @@ class FrameMaskSeq:
     area: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        height, width = self.height, self.width
+        if type(height) is not int or type(width) is not int or height <= 0 or width <= 0:
+            raise _grid_error(height, width)
         frames = dict(self.frames)
         for idx, mask in frames.items():
             if isinstance(idx, bool) or not isinstance(idx, int) or idx < 0:
                 raise ValueError(f"frame index must be a non-negative int, got {idx!r}")
-            if (mask.height, mask.width) != (self.height, self.width):
+            if not isinstance(mask, RleMask):
+                raise ValueError(f"frame {idx} must be an RleMask, got {type(mask).__name__}")
+            if (mask.height, mask.width) != (height, width):
                 raise ValueError(
                     f"frame {idx} mask is {mask.height}x{mask.width}, "
-                    f"sequence grid is {self.height}x{self.width}"
+                    f"sequence grid is {height}x{width}"
                 )
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "area", sum(m.area for m in frames.values()))

@@ -1108,6 +1108,38 @@ class TestLoadersRejectCoercion:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    LIST_MESSAGE = "'counts' must be a list of non-negative integers"
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ("0,16", LIST_MESSAGE),
+            ({"0": 16}, LIST_MESSAGE),
+            ([], "counts must contain at least one run"),
+            ([True, 15], LIST_MESSAGE),
+            ([0, 15, False], LIST_MESSAGE),
+            ([4.0, 12], LIST_MESSAGE),
+            ([0, 16.0], LIST_MESSAGE),
+            ([20, -4], LIST_MESSAGE),
+            ([4, None, 12], LIST_MESSAGE),
+            ([4, 4], "run lengths sum to 8, expected 16"),
+        ],
+        ids=["string", "object", "empty", "bool", "trailing-bool", "float", "integral-float",
+             "negative", "null", "wrong-sum"],
+    )
+    @pytest.mark.parametrize("media", ["image", "video"])
+    def test_malformed_counts_message(self, tmp_path, capsys, media, counts, message):
+        # the whole stderr line is pinned: the run checks moved into RleMask,
+        # and the loader must still word each rejection as before
+        mask = {"counts": counts}
+        if media == "image":
+            code, where = self.eval_image(tmp_path, gt_instance=mask), ""
+        else:
+            code, where = self.eval_video(tmp_path, gt_frames={"0": mask}), ".frames[0]"
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"validation error: datapoints[0].annotations[0][0]{where}: {message}\n")
+
     def test_true_run_length(self, tmp_path, capsys):
         code = self.eval_image(tmp_path, gt_instance={"counts": [15, True]})
         self.assert_rejected(code, capsys, "'counts' must be a list of non-negative integers")

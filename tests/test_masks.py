@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from itertools import groupby
 
 import numpy as np
@@ -100,6 +102,42 @@ class TestCodec:
         assert RleMask(2, 2, (2, 1, 1)).area == 1
         assert RleMask(4, 4, (16,)).area == 0
 
+    def test_pickle_and_copy_rebuild_a_used_mask(self):
+        mask = mask_from_pixels(3, 3, [(0, 0), (2, 1)])
+        assert mask_iou(mask, mask) == 1.0 and bbox_of(mask) == BBox(0, 0, 2, 3)
+        for clone in (pickle.loads(pickle.dumps(mask)), copy.copy(mask), copy.deepcopy(mask)):
+            assert clone == mask and hash(clone) == hash(mask)
+            assert mask_iou(clone, mask) == 1.0 and bbox_of(clone) == bbox_of(mask)
+
+    def test_masks_carry_no_instance_dict(self):
+        # the caches are slots: a per-mask dict would cost memory on every mask
+        assert not hasattr(RleMask.full(2, 2), "__dict__")
+
+
+class TestGridSizes:
+    @pytest.mark.parametrize(
+        "height, width, counts",
+        [(True, 4, (4,)), (4, False, (4,)), (2.0, 4, (8,)), (np.int64(2), 2, (4,))],
+    )
+    def test_mask_rejects_non_int_size(self, height, width, counts):
+        # a bool height used to build a mask equal to the int one, whose decode() failed
+        with pytest.raises(ValueError, match="mask grid sizes must be ints"):
+            RleMask(height, width, counts)
+
+    def test_mask_rejects_empty_grid(self):
+        with pytest.raises(ValueError, match="mask grid must be non-empty, got 0x4"):
+            RleMask(0, 4, (0,))
+
+    @pytest.mark.parametrize("height, width", [(True, 4), (4, 2.0), (0, 4)])
+    def test_masklet_rejects_bad_size(self, height, width):
+        with pytest.raises(ValueError, match="mask grid"):
+            FrameMaskSeq(height, width, {})
+
+    @pytest.mark.parametrize("frame", ["x", None, BBox(0, 0, 1, 1)])
+    def test_masklet_rejects_frame_that_is_not_a_mask(self, frame):
+        with pytest.raises(ValueError, match=f"frame 3 must be an RleMask, got {type(frame).__name__}"):
+            FrameMaskSeq(4, 4, {0: RleMask.empty(4, 4), 3: frame})
+
 
 class TestIoU:
     def test_identical_nonempty(self):
@@ -156,6 +194,19 @@ class TestIoM:
 
     def test_one_empty_is_zero(self):
         assert mask_iom(RleMask.empty(2, 2), RleMask.full(2, 2)) == 0.0
+
+    def test_masklets(self):
+        # volumes 3 and 2; they share frame 1, where the masks meet in one pixel
+        a = seq(2, 2, {0: mask_from_pixels(2, 2, [(0, 0)]), 1: mask_from_pixels(2, 2, [(0, 0), (1, 1)])})
+        b = seq(2, 2, {1: mask_from_pixels(2, 2, [(1, 1)]), 2: mask_from_pixels(2, 2, [(0, 0)])})
+        assert intersection_area(a, b) == 1
+        assert mask_iom(a, b) == mask_iom(b, a) == 1 / 2
+        assert mask_iom(a, a) == 1.0
+        assert mask_iom(a, seq(2, 2, {})) == 0.0
+        with pytest.raises(UndefinedMetricError):
+            mask_iom(seq(2, 2, {}), seq(2, 2, {0: RleMask.empty(2, 2)}))
+        with pytest.raises(ValueError, match="mask grids differ: 2x2 vs 2x3"):
+            mask_iom(a, seq(2, 3, {}))
 
 
 class TestMixedKinds:
@@ -323,9 +374,27 @@ def touching_rects(draw):
 
 
 @st.composite
+def row_disjoint(draw):
+    """Two masks whose column spans meet but whose rows do not: one lies
+    above a row split, the other below it."""
+    h, w = draw(st.tuples(st.integers(2, 9), st.integers(1, 9)))
+    split = draw(st.integers(1, h - 1))
+    a, b = draw(grids((h, w))), draw(grids((h, w)))
+    a[split:] = False
+    b[:split] = False
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@st.composite
 def grid_pairs(draw):
     shape = draw(shapes)
-    return draw(st.one_of(st.tuples(grids(shape), grids(shape)), touching_rects()))
+    return draw(st.one_of(
+        st.tuples(grids(shape), grids(shape)), touching_rects(), row_disjoint()))
+
+
+def masklets(shape):
+    """Frame-indexed grids; frames 0..3, so two masklets share some frames."""
+    return st.dictionaries(st.integers(0, 3), grids(shape), max_size=4)
 
 
 def counts_mask(grid) -> RleMask:
@@ -368,22 +437,23 @@ class TestRunKernelMatchesPixelSets:
         )
 
     @settings(max_examples=200, deadline=None)
-    @given(shapes.flatmap(lambda shape: st.tuples(
-        st.just(shape),
-        st.dictionaries(st.integers(0, 3), grids(shape), max_size=4),
-        st.dictionaries(st.integers(0, 3), grids(shape), max_size=4),
-    )))
+    @given(shapes.flatmap(lambda shape: st.tuples(st.just(shape), masklets(shape), masklets(shape))))
     def test_volume_iou(self, case):
         (h, w), frames_a, frames_b = case
         a = seq(h, w, {t: counts_mask(g) for t, g in frames_a.items()})
         b = seq(h, w, {t: counts_mask(g) for t, g in frames_b.items()})
         va = {(t, r, c) for t, g in frames_a.items() for r, c in pixels(g)}
         vb = {(t, r, c) for t, g in frames_b.items() for r, c in pixels(g)}
+        assert intersection_area(a, b) == intersection_area(b, a) == len(va & vb)
+        assert mask_iou(a, b) == mask_iou(b, a) == set_iou(va, vb)
         if not va and not vb:
             with pytest.raises(UndefinedMetricError):
                 volume_iou(a, b)
+            with pytest.raises(UndefinedMetricError):
+                mask_iom(a, b)
         else:
             assert volume_iou(a, b) == set_iou(va, vb)
+            assert mask_iom(a, b) == (len(va & vb) / min(len(va), len(vb)) if va and vb else 0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(shapes.flatmap(lambda shape: st.tuples(
