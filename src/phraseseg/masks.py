@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -50,11 +50,10 @@ class RleMask:
     width: int
     counts: tuple[int, ...]
     area: int = field(init=False, repr=False, compare=False)
-    # caches, unset until first use: the foreground runs (see _runs_of), the
-    # bounding box and the dense grid
+    # caches, unset until first use: the foreground runs (see _runs_of) and
+    # the bounding box
     _runs: list[int] = field(init=False, repr=False, compare=False)
     _box: BBox = field(init=False, repr=False, compare=False)
-    _dense: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         height, width = self.height, self.width
@@ -68,7 +67,7 @@ class RleMask:
         total = sum(counts)
         if total != height * width:
             raise ValueError(f"run lengths sum to {total}, expected {height * width}")
-        if 0 in counts and not _is_canonical(counts):
+        if 0 in counts[1:]:
             counts = _canonicalize(counts)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "area", sum(counts[1::2]))
@@ -78,18 +77,11 @@ class RleMask:
         return type(self), (self.height, self.width, self.counts)
 
     def decode(self) -> np.ndarray:
-        """Dense boolean grid, shape ``(height, width)``. Cached; do not mutate."""
-        try:
-            return self._dense
-        except AttributeError:
-            pass
+        """A new dense boolean grid, shape ``(height, width)``, on each call."""
         values = np.zeros(len(self.counts), dtype=bool)
         values[1::2] = True
         flat = np.repeat(values, np.asarray(self.counts, dtype=np.int64))
-        dense = flat.reshape((self.height, self.width), order="F")
-        dense.setflags(write=False)
-        object.__setattr__(self, "_dense", dense)
-        return dense
+        return flat.reshape((self.height, self.width), order="F")
 
     @classmethod
     def empty(cls, height: int, width: int) -> "RleMask":
@@ -98,10 +90,6 @@ class RleMask:
     @classmethod
     def full(cls, height: int, width: int) -> "RleMask":
         return cls(height, width, (0, height * width))
-
-
-def _is_canonical(counts) -> bool:
-    return 0 not in counts[1:] and (counts[0] > 0 or len(counts) > 1)
 
 
 def _canonicalize(counts) -> tuple[int, ...]:
@@ -147,7 +135,7 @@ def rle_encode(grid) -> RleMask:
 
 def rle_decode(mask: RleMask) -> np.ndarray:
     """Exact inverse of :func:`rle_encode`; returns a writable boolean grid."""
-    return mask.decode().copy()
+    return mask.decode()
 
 
 def _mismatch(a: RleMask | FrameMaskSeq, b: RleMask | FrameMaskSeq) -> ValueError:
@@ -343,22 +331,13 @@ class FrameMaskSeq:
     def __hash__(self):
         return hash((self.height, self.width, frozenset(self.frames.items())))
 
-    def mask_at(self, frame: int) -> Optional[RleMask]:
-        return self.frames.get(frame)
-
-    @property
-    def volume(self) -> int:
-        return self.area
-
-    @property
-    def is_empty(self) -> bool:
-        return self.area == 0
-
 
 def volume_iou(a: FrameMaskSeq, b: FrameMaskSeq) -> float:
-    """Total intersection volume over total union volume across all frames."""
-    if (a.height, a.width) != (b.height, b.width):
-        raise ValueError("masklet grids differ")
-    if a.is_empty and b.is_empty:
+    """Total intersection volume over total union volume across all frames;
+    ``mask_iou`` of two masklets, undefined (raises) when both are empty."""
+    if type(a) is not FrameMaskSeq:
+        raise ValueError(f"volume IoU takes masklets, got {type(a).__name__}")
+    iou = mask_iou(a, b)
+    if not a.area and not b.area:
         raise UndefinedMetricError("volume IoU is undefined for two empty masklets")
-    return mask_iou(a, b)
+    return iou

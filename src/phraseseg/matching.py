@@ -216,18 +216,13 @@ def optimal_match(matrix) -> Matching:
     return Matching(tuple((i, j, m[i][j]) for i, j in best))
 
 
-def _safe_iom(a: RleMask, b: RleMask) -> float:
-    if a.area == 0 or b.area == 0:
-        return 0.0
-    return mask_iom(a, b)
-
-
 def iom_nms(detections: Sequence[Detection], iom_threshold: float = 0.5) -> list[Detection]:
     """Greedy NMS on intersection-over-minimum.
 
     Detections are visited by descending score (ties: lower original index
     first); one is suppressed iff its IoM with any already-kept detection
-    reaches the threshold. The returned list preserves the kept order.
+    reaches the threshold. Two empty masks, whose IoM is undefined, count as
+    IoM 0. The returned list preserves the kept order.
     """
     if detections:
         grid = (detections[0].mask.height, detections[0].mask.width)
@@ -238,6 +233,10 @@ def iom_nms(detections: Sequence[Detection], iom_threshold: float = 0.5) -> list
     kept: list[Detection] = []
     for i in order:
         det = detections[i]
-        if all(_safe_iom(det.mask, k.mask) < iom_threshold for k in kept):
+        mask = det.mask
+        if all(
+            (mask_iom(mask, k.mask) if mask.area or k.mask.area else 0.0) < iom_threshold
+            for k in kept
+        ):
             kept.append(det)
     return kept

@@ -237,12 +237,12 @@ def follow_reference(
         best, best_iou = None, 0.0
         if prev.area > 0:
             for tid in order:
-                ref = reference[tid].mask_at(frame - 1)
+                ref = reference[tid].frames.get(frame - 1)
                 if ref is not None:
                     iou = mask_iou(prev, ref)
                     if iou > best_iou:
                         best, best_iou = tid, iou
-        cur = None if best is None else output[best].mask_at(frame)
+        cur = None if best is None else output[best].frames.get(frame)
         if cur is None:
             return prev, score
         return cur, score if confidence is None else confidence

@@ -128,7 +128,7 @@ def _frame_detections(tracks: Sequence[FrameMaskSeq], t: int) -> tuple[list[int]
     """The indices and masks of the tracks with a non-empty mask on frame ``t``."""
     ids, masks = [], []
     for idx, track in enumerate(tracks):
-        mask = track.mask_at(t)
+        mask = track.frames.get(t)
         if mask is not None and mask.area > 0:
             ids.append(idx)
             masks.append(mask)

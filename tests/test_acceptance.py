@@ -326,7 +326,7 @@ def test_criterion_7_phota():
                 for _ in range(n_pred)
             ]
             remapped = phota_remap([_vdp(gts, preds)])
-            if all(tr.volume == 0 for s in remapped.sequences for tr in (*s.gt_tracks, *s.pred_tracks)):
+            if all(tr.area == 0 for s in remapped.sequences for tr in (*s.gt_tracks, *s.pred_tracks)):
                 continue
             checked += 1
             got = hota(remapped)

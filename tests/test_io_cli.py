@@ -1029,12 +1029,9 @@ class TestGoldenReports:
         assert report.read_bytes() == (DATA / golden).read_bytes()
 
     def test_golden_simulate_and_track_outputs(self, tmp_path):
-        # a noisy scenario, so detections carry float scores and masklets gaps
-        cfg = write(tmp_path / "cfg.json", {
-            "height": 24, "width": 32, "frames": 12, "objects": 3, "min_size": 4,
-            "max_size": 9, "miss_prob": 0.15, "fp_rate": 0.8, "distractor_prob": 0.5,
-            "jitter_px": 2, "prop_jitter_px": 1, "occlusions": [[1, 4, 6]], "seed": 5,
-        })
+        # a noisy scenario, so detections carry float scores and masklets gaps;
+        # CI runs the installed entry point on the same config
+        cfg = str(DATA / "golden_sim_config.json")
         dets, gt, tracks, out = (
             tmp_path / f"{n}.json" for n in ("detections", "gt", "tracks", "masklets")
         )

@@ -97,6 +97,9 @@ class TestCodec:
         assert RleMask(2, 2, (2, 0, 2)).counts == (4,)
         assert RleMask(2, 2, (0, 2, 0, 2)).counts == (0, 4)
         assert RleMask(2, 2, (2, 2, 0)).counts == (2, 2)
+        assert RleMask(2, 2, (0, 2, 2)).counts == (0, 2, 2)
+        assert RleMask(2, 2, (0, 0, 4)).counts == (4,)
+        assert RleMask(2, 2, (4, 0)).counts == (4,)
 
     def test_area(self):
         assert RleMask(2, 2, (2, 1, 1)).area == 1
@@ -105,9 +108,14 @@ class TestCodec:
     def test_pickle_and_copy_rebuild_a_used_mask(self):
         mask = mask_from_pixels(3, 3, [(0, 0), (2, 1)])
         assert mask_iou(mask, mask) == 1.0 and bbox_of(mask) == BBox(0, 0, 2, 3)
+        grid = mask.decode()
+        assert mask.decode() is not mask.decode()
+        rle_decode(mask)[:] = True  # a caller's grid is its own to write
+        assert (mask.decode() == grid).all() and grid.sum() == 2
         for clone in (pickle.loads(pickle.dumps(mask)), copy.copy(mask), copy.deepcopy(mask)):
             assert clone == mask and hash(clone) == hash(mask)
             assert mask_iou(clone, mask) == 1.0 and bbox_of(clone) == bbox_of(mask)
+            assert (clone.decode() == grid).all()
 
     def test_masks_carry_no_instance_dict(self):
         # the caches are slots: a per-mask dict would cost memory on every mask
@@ -283,7 +291,7 @@ class TestVolumeIoU:
             a_frames = {t: random_mask(rng, 4, 4) for t in range(3)}
             b_frames = {t: random_mask(rng, 4, 4) for t in range(3)}
             a, b = seq(4, 4, a_frames), seq(4, 4, b_frames)
-            if a.is_empty and b.is_empty:
+            if not a.area and not b.area:
                 continue
             extra = random_mask(rng, 4, 4)
             if extra.area == 0:
@@ -299,12 +307,18 @@ class TestVolumeIoU:
         for _ in range(20):
             frames = {t: random_mask(rng, 4, 4) for t in range(4)}
             s = seq(4, 4, frames)
-            if not s.is_empty:
+            if s.area:
                 assert volume_iou(s, s) == 1.0
 
     def test_grid_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mask grids differ: 2x2 vs 2x3"):
             volume_iou(seq(2, 2, {}), seq(2, 3, {}))
+
+    def test_image_masks_rejected(self):
+        with pytest.raises(ValueError, match="volume IoU takes masklets, got RleMask"):
+            volume_iou(RleMask.full(2, 2), RleMask.full(2, 2))
+        with pytest.raises(ValueError, match="mask kinds differ: FrameMaskSeq vs RleMask"):
+            volume_iou(seq(2, 2, {}), RleMask.empty(2, 2))
 
     def test_equal_masklets_hash_equal(self):
         m = mask_from_pixels(2, 2, [(0, 0)])
@@ -312,7 +326,7 @@ class TestVolumeIoU:
         b = seq(2, 2, {3: RleMask.empty(2, 2), 0: mask_from_pixels(2, 2, [(0, 0)])})
         assert a == b and hash(a) == hash(b)
         assert len({a, b, seq(2, 2, {0: m})}) == 2
-        assert a.area == a.volume == 1
+        assert a.area == 1
 
     def test_sequence_rejects_foreign_grid(self):
         with pytest.raises(ValueError):

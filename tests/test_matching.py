@@ -358,6 +358,18 @@ class TestIomNms:
         with pytest.raises(ValueError):
             iom_nms([det(RleMask.full(2, 2)), det(RleMask.full(3, 3))])
 
+    @pytest.mark.parametrize(
+        "first, second, threshold, n_kept",
+        [
+            (RleMask.full(2, 2), RleMask.empty(2, 2), 0.0, 1),  # IoM 0 reaches a threshold of 0
+            (RleMask.empty(2, 2), RleMask.empty(2, 2), 0.0, 1),  # two empties count as IoM 0
+            (RleMask.empty(2, 2), RleMask.empty(2, 2), 0.5, 2),
+            (RleMask.empty(2, 2), RleMask.full(2, 2), 0.5, 2),
+        ],
+    )
+    def test_empty_masks(self, first, second, threshold, n_kept):
+        assert len(iom_nms([det(first, 0.9), det(second, 0.8)], threshold)) == n_kept
+
     def test_antichain_property(self, rng):
         for _ in range(50):
             dets = []

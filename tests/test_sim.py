@@ -149,7 +149,7 @@ class TestFollowReference:
     def test_tie_goes_to_lowest_track_id(self, setting):
         mask, score = self.propagator(setting)(self.masklet(self.r(2, 2)), 1)
         source = self.output() if setting == "sim" else self.reference()
-        assert mask == source[2].mask_at(1)
+        assert mask == source[2].frames.get(1)
         assert score == (1.0 if setting == "sim" else 0.7)
 
     @pytest.mark.parametrize("setting", ["cli", "sim"])

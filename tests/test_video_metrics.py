@@ -189,7 +189,7 @@ class TestSharedImagePath:
         assert matrix.shape == (len(preds), len(gts))
         for i, (p, _) in enumerate(preds):
             for j, (g, _) in enumerate(gts):
-                expected = 0.0 if p.is_empty and g.is_empty else volume_iou(p, g)
+                expected = 0.0 if not p.area and not g.area else volume_iou(p, g)
                 assert matrix[i, j] == expected
 
     def test_two_empty_masklets_score_zero(self):
@@ -366,7 +366,7 @@ class TestHota:
                 sequences.append(vdp(gts, preds, video=f"v{len(sequences)}"))
             remapped = phota_remap(sequences)
             total_volume = sum(
-                tr.volume
+                tr.area
                 for s in remapped.sequences
                 for tr in (*s.gt_tracks, *s.pred_tracks)
             )
