@@ -442,7 +442,7 @@ def weighted_presence_mcc(
     pool back to its population size). No default weighting ships; callers
     supply the per-datapoint weight.
     """
-    tp = tn = fp = fn = 0.0
+    cells = [0.0] * len(_PRESENCE_CELLS)  # tp, tn, fp, fn
     for dp in dps:
         w = weight(dp)
         if not 0.0 <= w < math.inf:  # false for NaN too
@@ -452,11 +452,8 @@ def weighted_presence_mcc(
             )
         positive = dp.is_positive(annotation_index)
         predicted = len(gate(dp.predictions, gate_threshold)) > 0
-        if positive:
-            tp, fn = tp + w * predicted, fn + w * (not predicted)
-        else:
-            fp, tn = fp + w * predicted, tn + w * (not predicted)
-    return _mcc(tp, tn, fp, fn)
+        cells[_PRESENCE_CELLS.index((positive, predicted))] += w
+    return _mcc(*cells)
 
 
 def _check_annotators(dps: Sequence[DataPoint]):

@@ -11,7 +11,7 @@ decodes a mask to a dense grid. A mask's first comparison caches its
 foreground runs as column-major offsets. Two masks whose column spans (from
 the first foreground pixel's column to the last one's) do not meet share no
 pixel; otherwise only the runs inside the shared columns are merged. The
-tight bounding box is computed, and cached, for ``bbox_of`` only.
+tight bounding box is computed on each ``bbox_of`` call.
 """
 
 from __future__ import annotations
@@ -50,10 +50,8 @@ class RleMask:
     width: int
     counts: tuple[int, ...]
     area: int = field(init=False, repr=False, compare=False)
-    # caches, unset until first use: the foreground runs (see _runs_of) and
-    # the bounding box
+    # cache, unset until first use: the foreground runs (see _runs_of)
     _runs: list[int] = field(init=False, repr=False, compare=False)
-    _box: BBox = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         height, width = self.height, self.width
@@ -260,11 +258,7 @@ class BBox:
 
 
 def bbox_of(mask: RleMask) -> BBox:
-    """Tight bounding box of a non-empty mask. Cached."""
-    try:
-        return mask._box
-    except AttributeError:
-        pass
+    """Tight bounding box of a non-empty mask."""
     if mask.area == 0:
         raise ValueError("empty mask has no bounding box")
     try:
@@ -285,9 +279,7 @@ def bbox_of(mask: RleMask) -> BBox:
         if last > y1:
             y1 = last
     x0, x1 = runs[0] // h, (runs[-1] - 1) // h
-    box = BBox(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
-    object.__setattr__(mask, "_box", box)
-    return box
+    return BBox(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
 
 
 def bbox_iou(a: BBox, b: BBox) -> float:

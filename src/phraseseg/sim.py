@@ -53,8 +53,8 @@ class ScenarioConfig:
             raise ValueError("miss probability must be in [0, 1]")
         if not 0.0 <= self.distractor_prob <= 1.0:
             raise ValueError("distractor probability must be in [0, 1]")
-        if self.fp_rate < 0.0:
-            raise ValueError("false-positive rate must be >= 0")
+        if not 0.0 <= self.fp_rate < np.inf:  # false for NaN too
+            raise ValueError(f"false-positive rate must be finite and >= 0, got {self.fp_rate}")
         for name in ("max_step", "jitter_px", "prop_jitter_px"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -141,50 +141,43 @@ def gen_scenario(cfg: ScenarioConfig) -> Scenario:
             )
 
     occluded = {(obj, t) for obj, first, last in cfg.occlusions for t in range(first, last + 1)}
-    boxes: list[list[Optional[BBox]]] = [
-        [None if (i, t) in occluded else trajectories[i][t] for t in range(cfg.frames)]
-        for i in range(cfg.objects)
+    # each object's visible boxes, keyed by frame
+    boxes = [
+        {t: box for t, box in enumerate(trajectory) if (i, t) not in occluded}
+        for i, trajectory in enumerate(trajectories)
     ]
 
-    gt_masks: list[dict[int, RleMask]] = [dict() for _ in range(cfg.objects)]
-    for i in range(cfg.objects):
-        for t in range(cfg.frames):
-            if boxes[i][t] is not None:
-                gt_masks[i][t] = _rect_mask(cfg.height, cfg.width, boxes[i][t])
+    def rect(box: BBox) -> RleMask:
+        return _rect_mask(cfg.height, cfg.width, box)
 
-    # Per-(object, frame) propagator masks, jittered independently of detections.
-    prop_masks: list[dict[int, RleMask]] = [dict() for _ in range(cfg.objects)]
-    for i in range(cfg.objects):
-        for t in range(cfg.frames):
-            box = boxes[i][t]
-            if box is None:
-                continue
-            if cfg.prop_jitter_px > 0:
-                dx = int(rng.integers(-cfg.prop_jitter_px, cfg.prop_jitter_px + 1))
-                dy = int(rng.integers(-cfg.prop_jitter_px, cfg.prop_jitter_px + 1))
-                box = _shifted(box, dx, dy, cfg.height, cfg.width)
-            prop_masks[i][t] = _rect_mask(cfg.height, cfg.width, box)
+    def jittered(box: BBox, amplitude: int) -> BBox:
+        if amplitude == 0:
+            return box
+        dx = int(rng.integers(-amplitude, amplitude + 1))
+        dy = int(rng.integers(-amplitude, amplitude + 1))
+        return _shifted(box, dx, dy, cfg.height, cfg.width)
+
+    def masklets(amplitude: int) -> tuple[FrameMaskSeq, ...]:
+        frames = ({t: rect(jittered(box, amplitude)) for t, box in obj.items()} for obj in boxes)
+        return tuple(FrameMaskSeq(cfg.height, cfg.width, f) for f in frames)
+
+    gt_seqs = masklets(0)
+    # the propagator's masks, jittered independently of the detections
+    prop_seqs = masklets(cfg.prop_jitter_px)
 
     detections: list[tuple[Detection, ...]] = []
     for t in range(cfg.frames):
+        visible = [obj[t] for obj in boxes if t in obj]
         frame_dets: list[Detection] = []
-        for i in range(cfg.objects):
-            box = boxes[i][t]
-            if box is None:
-                continue
+        for box in visible:
             if cfg.miss_prob > 0.0 and rng.random() < cfg.miss_prob:
                 continue
-            if cfg.jitter_px > 0:
-                dx = int(rng.integers(-cfg.jitter_px, cfg.jitter_px + 1))
-                dy = int(rng.integers(-cfg.jitter_px, cfg.jitter_px + 1))
-                box = _shifted(box, dx, dy, cfg.height, cfg.width)
-            frame_dets.append(Detection(mask=_rect_mask(cfg.height, cfg.width, box), score=1.0))
+            frame_dets.append(Detection(mask=rect(jittered(box, cfg.jitter_px)), score=1.0))
         n_fp = int(rng.poisson(cfg.fp_rate)) if cfg.fp_rate > 0 else 0
         for _ in range(n_fp):
-            visible = [i for i in range(cfg.objects) if boxes[i][t] is not None]
             if visible and cfg.distractor_prob > 0 and rng.random() < cfg.distractor_prob:
                 # distractor: a near-copy of a real object, partially overlapping it
-                target = boxes[visible[int(rng.integers(len(visible)))]][t]
+                target = visible[int(rng.integers(len(visible)))]
                 dx = int(rng.integers(1, max(2, target.w)))
                 dy = int(rng.integers(0, max(1, target.h // 2) + 1))
                 box = _shifted(target, dx, dy, cfg.height, cfg.width)
@@ -195,22 +188,14 @@ def gen_scenario(cfg: ScenarioConfig) -> Scenario:
                 y = int(rng.integers(0, cfg.height - h + 1))
                 box = BBox(x, y, w, h)
             score = float(rng.uniform(0.55, 1.0))
-            frame_dets.append(
-                Detection(mask=_rect_mask(cfg.height, cfg.width, box), score=score)
-            )
+            frame_dets.append(Detection(mask=rect(box), score=score))
         detections.append(tuple(frame_dets))
-
-    gt_seqs = tuple(
-        FrameMaskSeq(cfg.height, cfg.width, frames) for frames in gt_masks
-    )
 
     return Scenario(
         gt_masklets=gt_seqs,
         detections=tuple(detections),
         propagator=follow_reference(
-            dict(enumerate(gt_seqs)),
-            output={i: FrameMaskSeq(cfg.height, cfg.width, m) for i, m in enumerate(prop_masks)},
-            confidence=1.0,
+            dict(enumerate(gt_seqs)), output=dict(enumerate(prop_seqs)), confidence=1.0
         ),
     )
 
@@ -288,17 +273,16 @@ def exemplar_policy(
     matrix = iou_matrix([d.mask for d in gated], list(gt_masks))
     match = optimal_match(matrix)
     hit_gts = {g for _, g, iou in match.pairs if iou >= EXEMPLAR_IOU}
-    hit_preds = {p for p, _, iou in match.pairs if iou >= EXEMPLAR_IOU}
 
     positives = [
         bbox_of(gt) for g, gt in enumerate(gt_masks) if g not in hit_gts and gt.area > 0
     ]
     negatives = []
     for p, det in enumerate(gated):
-        if p in hit_preds or det.mask.area == 0:
-            continue
+        # a matched hit overlaps its ground truth at >= EXEMPLAR_IOU, so only
+        # unmatched predictions pass; an empty one has no box
         worst = max(matrix[p]) if len(gt_masks) else 0.0
-        if worst < EXEMPLAR_IOU:
+        if worst < EXEMPLAR_IOU and det.mask.area > 0:
             negatives.append(bbox_of(det.mask))
 
     rng = np.random.default_rng(seed)

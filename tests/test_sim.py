@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phraseseg import BBox, PromptEvent, RleMask, ScenarioConfig, exemplar_policy, gen_scenario
-from phraseseg import Masklet, bbox_of, mask_iou, rle_encode
+from phraseseg import Masklet, bbox_of, mask_iou, rle_encode, run
+from phraseseg import io_schemas as io
 from phraseseg.sim import _rect_mask, follow_reference
 
 from conftest import det, rect_mask, seq
@@ -30,6 +33,12 @@ class TestScenarioConfig:
     def test_oversized_objects_rejected(self):
         with pytest.raises(ValueError):
             ScenarioConfig(height=8, width=8, max_size=9)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -0.5])
+    def test_non_finite_or_negative_fp_rate_rejected(self, rate):
+        # NaN would silently sample no false positives; inf overflows NumPy's Poisson
+        with pytest.raises(ValueError, match=f"false-positive rate .* got {rate}"):
+            ScenarioConfig(fp_rate=rate)
 
 
 class TestGenScenario:
@@ -109,6 +118,53 @@ class TestGenScenario:
                 assert any(mask_iou(d.mask, g) > 0.0 for g in gt_masks)
                 found += 1
         assert found > 10
+
+
+# sha256 of the detection stream, the ground-truth tracks and the tracker's
+# masklets (frames=24, seed=3): pins the order of every random draw, also on
+# paths that no golden file reaches
+DRAW_ORDER_DIGESTS = [
+    ({}, "c08c4667f207cb02570e24d724bce80803c6dab7875ac34eecab3b8bafd5b834"),
+    ({"jitter_px": 2}, "c2b0213caa2708b715d96dd4ec63bffbac6f2c7f508f3840ccfb188e801cf93c"),
+    ({"prop_jitter_px": 2}, "adcac377b2c51411522f76c439b599501789f0584da0b1fe9f0e16947af6351a"),
+    (
+        {"miss_prob": 0.3, "fp_rate": 1.5},
+        "1bfb893058a894a09ef801da39d995702d64c116812056369d2c5db3065b297e",
+    ),
+    (
+        {"miss_prob": 0.3, "jitter_px": 2, "prop_jitter_px": 1},
+        "c650fe048cdbae17577d861f94b51327ec0a20d9131924addd613eaa5ec3213b",
+    ),
+    (  # both objects hidden on frames 10-20: no distractor draw there
+        {"objects": 2, "fp_rate": 2, "distractor_prob": 1, "occlusions": ((0, 5, 20), (1, 10, 20))},
+        "de63af8286ddd92c978aa67300e65c0ff3867f91d21db98cf29bb936df3cdb7b",
+    ),
+    (
+        {"objects": 0, "fp_rate": 1, "distractor_prob": 0.5},
+        "08db1c764d113fc24e4b251ec6148dd1e24e39eb1d24e7f91d6af637f8daf48a",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, digest",
+    DRAW_ORDER_DIGESTS,
+    ids=[
+        "no-noise", "jitter", "prop-jitter", "miss-fp", "miss-jitters", "distractors-hidden",
+        "no-objects",
+    ],
+)
+def test_draw_order_digest(overrides, digest):
+    cfg = ScenarioConfig(frames=24, seed=3, **overrides)
+    scenario = gen_scenario(cfg)
+    media = io.MediaInfo(id="sim", height=cfg.height, width=cfg.width, frames=cfg.frames)
+    docs = [
+        io.detection_stream_doc(media, scenario.detections),
+        io.tracks_doc(media, dict(enumerate(scenario.gt_masklets))),
+        io.masklets_doc(media, run(scenario.detections, scenario.propagator)),
+    ]
+    text = "".join(io.dumps_json(doc) for doc in docs)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestFollowReference:
