@@ -38,17 +38,22 @@ def _non_empty(text: str) -> str:
     return text
 
 
-def _annotation_index(args, dps) -> int:
-    """The ``--annotation-index`` (default 0), rejected if a datapoint does not have it."""
-    index = args.annotation_index or 0
+def _check_annotation_count(dps, needed: int, reason: str):
+    """Reject, naming each, the datapoints with fewer than ``needed`` annotations."""
     errors = [
         f"datapoint ({dp.media_id!r}, {dp.phrase!r}) has {len(dp.annotations)} annotation(s), "
-        f"so --annotation-index {index} is out of range"
+        f"so {reason}"
         for dp in dps
-        if index >= len(dp.annotations)
+        if len(dp.annotations) < needed
     ]
     if errors:
         raise ValidationError(errors)
+
+
+def _annotation_index(args, dps) -> int:
+    """The ``--annotation-index`` (default 0), rejected if a datapoint does not have it."""
+    index = args.annotation_index or 0
+    _check_annotation_count(dps, index + 1, f"--annotation-index {index} is out of range")
     return index
 
 
@@ -147,6 +152,9 @@ def _cmd_eval_image(args) -> int:
     dataset = io_schemas.load_dataset(args.gt)
     preds = io_schemas.load_predictions(args.pred, dataset) if args.pred else {}
     dps, ignored = io_schemas.join_image(dataset, preds)
+    if not args.pred:
+        protocol = "--random-pair" if args.random_pair else "--human-oracle"
+        _check_annotation_count(dps, 2, f"{protocol} needs at least 2")
     if args.pred:
         report = image_metrics.cg_f1(
             dps,

@@ -530,7 +530,6 @@ def load_masklets(path) -> tuple[MediaInfo, dict[int, FrameMaskSeq]]:
 _FIELD_TYPES = {
     "int": _is_int,
     "float": _is_number,
-    "Optional[int]": lambda v: v is None or _is_int(v),
     "tuple[tuple[int, int, int], ...]": lambda v: isinstance(v, list)
     and all(isinstance(t, list) and len(t) == 3 and all(map(_is_int, t)) for t in v),
 }

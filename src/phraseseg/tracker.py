@@ -34,7 +34,6 @@ class TrackerConfig:
     reprompt_confidence: float = 0.8
     recondition_bbox_iou: float = 0.85
     detection_gate: float = 0.5
-    output_delay: Optional[int] = None  # defaults to confirmation_window
 
     def __post_init__(self):
         if self.confirmation_window < 1:
@@ -52,10 +51,6 @@ class TrackerConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.output_delay is None:
-            object.__setattr__(self, "output_delay", self.confirmation_window)
-        elif self.output_delay < 0:
-            raise ValueError("output delay must be >= 0")
 
     @property
     def duplicate_frames(self) -> int:
@@ -70,7 +65,6 @@ class Masklet:
     t_first: int
     masks: dict[int, RleMask] = field(default_factory=dict)
     scores: dict[int, float] = field(default_factory=dict)
-    deltas: dict[int, int] = field(default_factory=dict)
     zeroed: set[int] = field(default_factory=set)  # frames whose output is blanked
     lifetime_mds: int = 0
 
@@ -86,24 +80,6 @@ def delta(masklet: Masklet, detections: Sequence[Detection], iou_threshold: floa
         raise ValueError("masklet has no mask prediction yet")
     mask = masklet.masks[max(masklet.masks)]
     return _indicator((mask_iou(d.mask, mask) for d in detections), iou_threshold)
-
-
-def mds(masklet: Masklet, t: int, t_prime: int) -> int:
-    """Windowed detection score: sum of match indicators over [t, t'].
-
-    Frames before the masklet's first appearance contribute nothing; a window
-    ending before the first appearance is a domain error. A live tracker's
-    masklet holds only the frames a later stage can still read.
-    """
-    if t > t_prime:
-        raise ValueError("window start must not exceed window end")
-    if t_prime < masklet.t_first:
-        raise ValueError("window ends before the masklet first appears")
-    start = max(t, masklet.t_first)
-    missing = [tau for tau in range(start, t_prime + 1) if tau not in masklet.deltas]
-    if missing:
-        raise ValueError(f"no match history for frames {missing}")
-    return sum(masklet.deltas[tau] for tau in range(start, t_prime + 1))
 
 
 @dataclass(frozen=True)
@@ -161,8 +137,8 @@ class Tracker:
         """Consume one frame: match, spawn, update lifecycles, maybe emit.
 
         ``propagated`` must supply (mask, confidence) for exactly the active
-        masklets. Returns the output for frame ``clock - output_delay`` once
-        the delay has been served.
+        masklets. Returns the output for frame ``clock - confirmation_window``
+        once that frame's confirmation window has closed.
         """
         tau = self.clock
         cfg = self.config
@@ -200,17 +176,14 @@ class Tracker:
         matrix = np.vstack([matrix, iou_matrix([det.mask for det in spawned], det_masks)])
         row_of = {mid: r for r, mid in enumerate(ids)}
 
-        # (3) record the frame-wise match indicator for every active masklet
-        for mid in sorted(self.masklets):
-            m = self.masklets[mid]
-            d = _indicator(matrix[row_of[mid]], cfg.match_iou)
-            m.deltas[tau] = d
-            m.lifetime_mds += d
+        # (3) add the frame-wise match indicator to every active masklet's sum
+        for mid, m in self.masklets.items():
+            m.lifetime_mds += _indicator(matrix[row_of[mid]], cfg.match_iou)
 
         # (4) drop unconfirmed masklets whose window score fell below threshold;
         # the first complete window [tau - T, tau] exists once tau reaches T
         if tau >= cfg.confirmation_window:
-            self._remove_unconfirmed(tau - cfg.confirmation_window, tau)
+            self._remove_unconfirmed(tau - cfg.confirmation_window)
 
         # (5) drop the younger of two masklets that keep sharing a detection
         live = sorted(self.masklets)
@@ -251,10 +224,10 @@ class Tracker:
             if bbox_iou(bbox_of(cur), bbox_of(det_mask)) < cfg.recondition_bbox_iou:
                 m.masks[tau] = det_mask
 
-        # (9) emit the frame whose confirmation delay just elapsed
+        # (9) emit the frame whose confirmation window just closed
         self.clock += 1
-        out = self._emit(self.next_emit) if tau - cfg.output_delay >= 0 else None
-        self._prune(min(self.next_emit, self.clock - cfg.confirmation_window))
+        out = self._emit(self.next_emit) if tau >= cfg.confirmation_window else None
+        self._prune(self.clock - cfg.confirmation_window)
         return out
 
     def flush(self) -> list[FrameOutput]:
@@ -263,18 +236,20 @@ class Tracker:
         outputs = []
         while self.next_emit < self.clock:
             start = self.next_emit
-            self._remove_unconfirmed(start, self.clock - 1)
+            self._remove_unconfirmed(start)
             self._remove_duplicates(start)
             outputs.append(self._emit(start))
         return outputs
 
     # -- internals ----------------------------------------------------------
 
-    def _remove_unconfirmed(self, window_start: int, window_end: int):
+    def _remove_unconfirmed(self, window_start: int):
+        """Drop masklets born inside the window whose indicator sum, which
+        is then the window's sum, is below the confirmation threshold."""
         threshold = self.config.confirmation_threshold
         for mid in sorted(self.masklets):
             m = self.masklets[mid]
-            if m.t_first >= window_start and mds(m, window_start, window_end) < threshold:
+            if m.t_first >= window_start and m.lifetime_mds < threshold:
                 self._remove(mid)
 
     def _remove_duplicates(self, window_start: int):
@@ -303,10 +278,10 @@ class Tracker:
 
     def _prune(self, horizon: int):
         """Drop per-frame state and duplicate pairs no stage can read again:
-        later lifecycle windows start at or after ``horizon``, propagators read
-        frame ``clock - 1`` and emission reads frames from ``next_emit`` on."""
+        later lifecycle windows and emission start at or after ``horizon``,
+        and propagators read frame ``clock - 1``."""
         for m in self.masklets.values():
-            for frames in (m.masks, m.scores, m.deltas):
+            for frames in (m.masks, m.scores):
                 for t in [t for t in frames if t < horizon]:
                     del frames[t]
             m.zeroed = {t for t in m.zeroed if t >= horizon}
@@ -358,7 +333,7 @@ def run(
     for out in outputs:
         for mid, mask in out.masks.items():
             # A masklet is shown from its spawn frame on, so its first output
-            # frame is its t_first, even if it was removed later.
+            # frame is its t_first.
             rec = masklets.setdefault(mid, EmittedMasklet(id=mid, t_first=out.frame, frames={}))
             rec.frames[out.frame] = mask
     return TrackResult(

@@ -246,7 +246,6 @@ class TestConfigs:
         cfg = io.load_tracker_config(path)
         assert cfg.confirmation_window == 10
         assert cfg.reprompt_period == 8
-        assert cfg.output_delay == 10
 
     def test_tracker_config_unknown_field(self, tmp_path):
         path = write(tmp_path / "cfg.json", {"nope": 1})
@@ -287,10 +286,9 @@ class TestConfigs:
         "doc, message",
         [
             ({"confirmation_window": 1.5}, "confirmation_window must be of type int, got 1.5"),
-            ({"output_delay": 2.5}, "output_delay must be of type Optional[int], got 2.5"),
             ({"match_iou": True}, "match_iou must be of type float, got True"),
         ],
-        ids=["confirmation_window-float", "output_delay-float", "match_iou-true"],
+        ids=["confirmation_window-float", "match_iou-true"],
     )
     def test_tracker_config_field_types(self, tmp_path, doc, message):
         with pytest.raises(ValidationError) as exc:
@@ -301,9 +299,14 @@ class TestConfigs:
         with pytest.raises(ValidationError, match="seed must be >= 0"):
             io.load_scenario_config(write(tmp_path / "cfg.json", {"seed": -1}))
 
-    def test_tracker_config_null_output_delay(self, tmp_path):
-        cfg = io.load_tracker_config(write(tmp_path / "cfg.json", {"output_delay": None}))
-        assert cfg.output_delay == cfg.confirmation_window
+    @pytest.mark.parametrize("value", [3, None], ids=["3", "null"])
+    def test_tracker_config_rejects_output_delay(self, tmp_path, capsys, value):
+        # output lags the clock by exactly the confirmation window
+        cfg = write(tmp_path / "cfg.json", {"output_delay": value})
+        code = main(["track", "--detections", str(DATA / "golden_sim_detections.json"),
+                     "--config", cfg, "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert "unknown tracker config fields ['output_delay']" in capsys.readouterr().err
 
     def test_every_config_field_type_is_checked(self):
         from dataclasses import fields
@@ -453,6 +456,30 @@ class TestCliEvalImage:
         rp_doc, ho_doc = json.loads(rp.read_text()), json.loads(ho.read_text())
         assert ho_doc["metrics"]["pmF1"] >= rp_doc["metrics"]["pmF1"]
         assert rp_doc["protocol"] == "random-pair"
+
+    @pytest.mark.parametrize(
+        "protocol", [["--human-oracle"], ["--random-pair", "3"]], ids=["human-oracle", "random-pair"]
+    )
+    def test_human_protocols_need_two_annotations(self, tmp_path, capsys, protocol):
+        one = [{"counts": [5, 1, 10]}]
+        doc = {
+            "schema_version": 1,
+            "media": [{"id": "m", "height": 4, "width": 4, "frames": 1}],
+            "datapoints": [
+                {"media_id": "m", "phrase": "box", "annotations": [one]},
+                {"media_id": "m", "phrase": "pad", "annotations": [one, one]},
+                {"media_id": "m", "phrase": "void", "annotations": [[]]},
+            ],
+        }
+        gt = write(tmp_path / "gt.json", doc)
+        code = main(["eval-image", "--gt", gt, *protocol, "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ")
+        assert "datapoint ('m', 'box') has 1 annotation(s)" in err
+        assert "datapoint ('m', 'void') has 1 annotation(s)" in err
+        assert "'pad'" not in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_oracle_flag(self, tmp_path):
         one = [5, 1, 10]
@@ -1042,6 +1069,15 @@ class TestGoldenReports:
         for path, golden in ((dets, "golden_sim_detections"), (gt, "golden_sim_gt"),
                              (tracks, "golden_sim_tracks"), (out, "golden_track_masklets")):
             assert path.read_bytes() == (DATA / f"{golden}.json").read_bytes(), golden
+
+    def test_golden_track_config(self, tmp_path):
+        # a short window and a positive threshold remove masklets that the
+        # default config keeps; CI runs the installed entry point on the same files
+        out = tmp_path / "masklets.json"
+        assert main(["track", "--detections", str(DATA / "golden_sim_detections.json"),
+                     "--propagator", "tracks", "--tracks", str(DATA / "golden_sim_tracks.json"),
+                     "--config", str(DATA / "golden_track_config.json"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "golden_track_config_masklets.json").read_bytes()
 
     def test_video_gold_files_are_the_corpus(self):
         gt_doc, pred_doc = build_video_corpus()
