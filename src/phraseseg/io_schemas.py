@@ -220,8 +220,10 @@ def _parse_score(
 ) -> Optional[float]:
     """An instance's confidence. A masklet on ``video`` may give per-frame
     scores instead, aggregated by mean."""
-    per_frame = video is not None and isinstance(inst, dict) and "score" not in inst
-    if per_frame and "frame_scores" in inst:
+    if video is not None and isinstance(inst, dict) and "frame_scores" in inst:
+        if "score" in inst:
+            errs.add(where, "give 'score' or 'frame_scores', not both")
+            return None
         frame_scores = inst["frame_scores"]
         values = []
         if isinstance(frame_scores, dict):

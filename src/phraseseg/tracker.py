@@ -67,6 +67,8 @@ class Masklet:
     scores: dict[int, float] = field(default_factory=dict)
     zeroed: set[int] = field(default_factory=set)  # frames whose output is blanked
     lifetime_mds: int = 0
+    # earlier masklet id -> frames on which the two shared a detection
+    shared: dict[int, int] = field(default_factory=dict)
 
 
 def _indicator(ious: Iterable[float], threshold: float) -> int:
@@ -124,7 +126,6 @@ class Tracker:
         self.next_emit = 0  # next frame index to show
         self._next_id = 0
         self.masklets: dict[int, Masklet] = {}
-        self._dup_counts: dict[tuple[int, int], int] = {}  # (earlier, later id) -> shared frames
         self._grid: Optional[tuple[int, int]] = None
 
     # -- per-frame protocol -------------------------------------------------
@@ -174,25 +175,18 @@ class Tracker:
             self.masklets[m.id] = m
             ids.append(m.id)
         matrix = np.vstack([matrix, iou_matrix([det.mask for det in spawned], det_masks)])
-        row_of = {mid: r for r, mid in enumerate(ids)}
 
         # (3) add the frame-wise match indicator to every active masklet's sum
-        for mid, m in self.masklets.items():
-            m.lifetime_mds += _indicator(matrix[row_of[mid]], cfg.match_iou)
+        for mid, row in zip(ids, matrix):
+            self.masklets[mid].lifetime_mds += _indicator(row, cfg.match_iou)
 
-        # (4) drop unconfirmed masklets whose window score fell below threshold;
-        # the first complete window [tau - T, tau] exists once tau reaches T
-        if tau >= cfg.confirmation_window:
-            self._remove_unconfirmed(tau - cfg.confirmation_window)
-
-        # (5) drop the younger of two masklets that keep sharing a detection
-        live = sorted(self.masklets)
-        near = matrix[[row_of[mid] for mid in live]] >= cfg.duplicate_iou
+        # (5) count the frames on which two masklets both overlap one
+        # detection; the later masklet keeps the count, since only it can be
+        # removed as the duplicate
+        near = matrix >= cfg.duplicate_iou
         for a, b in np.argwhere(np.triu(near @ near.T, 1)):
-            pair = (live[a], live[b])
-            self._dup_counts[pair] = self._dup_counts.get(pair, 0) + 1
-        if tau >= cfg.confirmation_window:
-            self._remove_duplicates(tau - cfg.confirmation_window)
+            shared = self.masklets[ids[b]].shared
+            shared[ids[a]] = shared.get(ids[a], 0) + 1
 
         # (6) suppression: blank output while the lifetime score is negative
         for m in self.masklets.values():
@@ -201,9 +195,8 @@ class Tracker:
 
         # (7) periodic re-prompt from a strongly agreeing, confident detection
         if tau % cfg.reprompt_period == 0 and detections:
-            for mid in sorted(self.masklets):
+            for mid, row in zip(ids, matrix):
                 m = self.masklets[mid]
-                row = matrix[row_of[mid]]
                 best = int(np.argmax(row))  # the first of equal maxima
                 if (
                     row[best] >= cfg.reprompt_iou
@@ -214,9 +207,7 @@ class Tracker:
 
         # (8) recondition on box-level drift against the matched detection
         for mid, c in matched.items():
-            m = self.masklets.get(mid)
-            if m is None:
-                continue
+            m = self.masklets[mid]
             det_mask = detections[c].mask
             cur = m.masks[tau]
             if cur.area == 0 or det_mask.area == 0:
@@ -224,71 +215,60 @@ class Tracker:
             if bbox_iou(bbox_of(cur), bbox_of(det_mask)) < cfg.recondition_bbox_iou:
                 m.masks[tau] = det_mask
 
-        # (9) emit the frame whose confirmation window just closed
+        # (4), (5) and (9) close the window [tau - T, tau] once it exists
         self.clock += 1
-        out = self._emit(self.next_emit) if tau >= cfg.confirmation_window else None
-        self._prune(self.clock - cfg.confirmation_window)
+        start = tau - cfg.confirmation_window
+        out = self._close(start) if start >= 0 else None
+        self._prune(self.next_emit)
         return out
 
     def flush(self) -> list[FrameOutput]:
-        """End of stream: run the remaining (truncated-window) lifecycle checks
-        and emit every frame still held back by the delay."""
-        outputs = []
-        while self.next_emit < self.clock:
-            start = self.next_emit
-            self._remove_unconfirmed(start)
-            self._remove_duplicates(start)
-            outputs.append(self._emit(start))
-        return outputs
+        """End of stream: close the remaining (truncated) windows and emit
+        every frame still held back by the delay."""
+        return [self._close(t) for t in range(self.next_emit, self.clock)]
 
     # -- internals ----------------------------------------------------------
 
-    def _remove_unconfirmed(self, window_start: int):
-        """Drop masklets born inside the window whose indicator sum, which
-        is then the window's sum, is below the confirmation threshold."""
-        threshold = self.config.confirmation_threshold
+    def _close(self, start: int) -> FrameOutput:
+        """Close the window that starts at frame ``start``, then (9) emit
+        that frame.
+
+        A masklet born inside the window is removed when it is (4)
+        unconfirmed, its indicator sum (then the window's sum) being below the
+        threshold, or (5) a duplicate, having shared a detection on
+        ``duplicate_frames`` frames or more with an earlier masklet that is
+        still live. Ids ascend with birth, so the earlier masklet's removal is
+        decided first.
+        """
+        cfg = self.config
         for mid in sorted(self.masklets):
             m = self.masklets[mid]
-            if m.t_first >= window_start and m.lifetime_mds < threshold:
-                self._remove(mid)
-
-    def _remove_duplicates(self, window_start: int):
-        for (i, j), count in sorted(self._dup_counts.items()):
-            if count < self.config.duplicate_frames:
-                continue
-            if i not in self.masklets or j not in self.masklets:
-                continue
-            if self.masklets[j].t_first >= window_start:
-                self._remove(j)
-
-    def _remove(self, mid: int):
-        del self.masklets[mid]
-        self._dup_counts = {
-            pair: c for pair, c in self._dup_counts.items() if mid not in pair
-        }
-
-    def _emit(self, frame: int) -> FrameOutput:
-        masks: dict[int, Optional[RleMask]] = {}
-        for mid in sorted(self.masklets):
-            m = self.masklets[mid]
-            if m.t_first <= frame:
-                masks[mid] = None if frame in m.zeroed else m.masks[frame]
-        self.next_emit = frame + 1
-        return FrameOutput(frame=frame, masks=masks)
+            if m.t_first >= start and (
+                m.lifetime_mds < cfg.confirmation_threshold
+                or any(
+                    count >= cfg.duplicate_frames and i in self.masklets
+                    for i, count in m.shared.items()
+                )
+            ):
+                del self.masklets[mid]
+        self.next_emit = start + 1
+        return FrameOutput(frame=start, masks={
+            mid: None if start in m.zeroed else m.masks[start]
+            for mid, m in sorted(self.masklets.items())
+            if m.t_first <= start
+        })
 
     def _prune(self, horizon: int):
-        """Drop per-frame state and duplicate pairs no stage can read again:
-        later lifecycle windows and emission start at or after ``horizon``,
-        and propagators read frame ``clock - 1``."""
+        """Drop per-frame state and duplicate counts no stage can read again:
+        later windows and emission start at or after ``horizon``, and
+        propagators read frame ``clock - 1``."""
         for m in self.masklets.values():
             for frames in (m.masks, m.scores):
                 for t in [t for t in frames if t < horizon]:
                     del frames[t]
             m.zeroed = {t for t in m.zeroed if t >= horizon}
-        self._dup_counts = {
-            (i, j): c for (i, j), c in self._dup_counts.items()
-            if self.masklets[j].t_first >= horizon
-        }
+            if m.t_first < horizon:
+                m.shared.clear()
 
     def _check_grid(self, masks: Sequence[RleMask]):
         for mask in masks:

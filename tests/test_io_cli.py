@@ -1079,6 +1079,14 @@ class TestGoldenReports:
                      "--config", str(DATA / "golden_track_config.json"), "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / "golden_track_config_masklets.json").read_bytes()
 
+    def test_golden_track_hold(self, tmp_path):
+        # the default propagator repeats each masklet's last mask; CI runs
+        # the installed entry point on the same files
+        out = tmp_path / "masklets.json"
+        assert main(["track", "--detections", str(DATA / "golden_sim_detections.json"),
+                     "--config", str(DATA / "golden_track_config.json"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "golden_track_hold_masklets.json").read_bytes()
+
     def test_video_gold_files_are_the_corpus(self):
         gt_doc, pred_doc = build_video_corpus()
         assert json.loads((DATA / "video_corpus_gt.json").read_text()) == gt_doc
@@ -1189,6 +1197,14 @@ class TestLoadersRejectCoercion:
         instance = {"frames": {"0": self.FULL}, "frame_scores": {"0": True}}
         code = self.eval_video(tmp_path, pred_instance=instance)
         self.assert_rejected(code, capsys, "'frame_scores' must map frames to values in [0, 1]")
+
+    def test_score_and_frame_scores(self, tmp_path, capsys):
+        instance = {"frames": {"0": self.FULL}, "score": 0.9, "frame_scores": "garbage"}
+        code = self.eval_video(tmp_path, pred_instance=instance)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "validation error: predictions[0].instances[0]: "
+            "give 'score' or 'frame_scores', not both\n")
 
     def test_noncanonical_instance_frame_key(self, tmp_path, capsys):
         code = self.eval_video(tmp_path, gt_frames={"1": self.FULL, "01": self.FULL})

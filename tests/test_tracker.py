@@ -226,7 +226,6 @@ class TestReprompt:
     def test_iou_boundary_inclusive(self):
         prop_mask = r(0, 0, 10, 2)  # 20 px
         exact = r(0, 0, 8, 2)  # IoU 16/20 = 0.8: fires
-        below = r(0, 0, 15, 2)  # IoU 15/20 = 0.75 with 30px det? recompute below
         result = run(
             self.make_events(18, exact),
             self.fixed_propagator(prop_mask),
@@ -379,16 +378,25 @@ class TestDeterminismAndScenario:
 
 class TestBoundedState:
     def test_state_bounded_by_window_on_long_stream(self):
-        # one static object, plus a spurious detection that recurs every 7
-        # frames, spawns a masklet, is suppressed and removed at window close
+        # a spurious detection spawns a masklet that is suppressed and
+        # removed as unconfirmed at window close
+        self.assert_bounded(r(15, 15, 3, 3), period=7)
+
+    def test_duplicate_state_bounded_on_long_stream(self):
+        # a detection at IoU 0.6 with the object spawns a confirmed masklet
+        # that shares the object's detection and is removed as a duplicate
+        self.assert_bounded(r(1, 0, 4, 4), period=3)
+
+    def assert_bounded(self, extra, period):
+        # one static object, plus an extra detection that recurs every period
         cfg = TrackerConfig()
         bound = cfg.confirmation_window + 2
-        obj, spur = r(0, 0, 4, 4), r(15, 15, 3, 3)
+        obj = r(0, 0, 4, 4)
         tracker = Tracker(cfg)
         for t in range(10_000):
             if t == 1_000:
                 tracemalloc.start()
-            dets = [det(obj, 0.9)] + ([det(spur, 0.9)] if t % 7 == 0 else [])
+            dets = [det(obj, 0.9)] + ([det(extra, 0.9)] if t % period == 0 else [])
             propagated = {mid: hold_propagator(m, t) for mid, m in tracker.masklets.items()}
             tracker.step(propagated, dets)
             for m in tracker.masklets.values():
@@ -429,8 +437,23 @@ class TestBoundedState:
         assert pruned == outputs()
 
 
-# sha256 of the masklet documents over seeds 0-3 of a noisy scenario, per
-# non-default (confirmation_window, confirmation_threshold): pins the
+def masklets_digest(config, propagator=None):
+    """sha256 of the masklet documents over seeds 0-3 of a noisy scenario,
+    tracked with the scenario's propagator unless another is given."""
+    docs = []
+    for seed in range(4):
+        cfg = ScenarioConfig(
+            height=32, width=32, frames=60, objects=2, miss_prob=0.2,
+            fp_rate=0.8, distractor_prob=0.3, jitter_px=1, seed=seed,
+        )
+        scenario = gen_scenario(cfg)
+        media = io.MediaInfo(id="sim", height=cfg.height, width=cfg.width, frames=cfg.frames)
+        result = run(scenario.detections, propagator or scenario.propagator, config)
+        docs.append(io.dumps_json(io.masklets_doc(media, result)))
+    return hashlib.sha256("".join(docs).encode()).hexdigest()
+
+
+# per non-default (confirmation_window, confirmation_threshold): pins the
 # lifecycle checks, pruning and emission on configs no golden file reaches
 CONFIG_DIGESTS = {
     (1, -2): "5304ebcc8863c17318acc99352500aeafb28cb5abf13f73665bbcf5b39d2ae0a",
@@ -448,15 +471,35 @@ CONFIG_DIGESTS = {
 @pytest.mark.parametrize("window, threshold", list(CONFIG_DIGESTS))
 def test_config_digest(window, threshold):
     config = TrackerConfig(confirmation_window=window, confirmation_threshold=threshold)
-    docs = []
-    for seed in range(4):
-        cfg = ScenarioConfig(
-            height=32, width=32, frames=60, objects=2, miss_prob=0.2,
-            fp_rate=0.8, distractor_prob=0.3, jitter_px=1, seed=seed,
-        )
-        scenario = gen_scenario(cfg)
-        media = io.MediaInfo(id="sim", height=cfg.height, width=cfg.width, frames=cfg.frames)
-        result = run(scenario.detections, scenario.propagator, config)
-        docs.append(io.dumps_json(io.masklets_doc(media, result)))
-    digest = hashlib.sha256("".join(docs).encode()).hexdigest()
-    assert digest == CONFIG_DIGESTS[window, threshold]
+    assert masklets_digest(config) == CONFIG_DIGESTS[window, threshold]
+
+
+# per (config, propagator): pins duplicate removal (5), re-prompting (7) and
+# reconditioning (8) at non-default values, with both propagators
+STAGE_CONFIGS = {
+    "duplicate_iou=0": TrackerConfig(duplicate_iou=0.0),
+    "duplicate_iou=0.5": TrackerConfig(duplicate_iou=0.5),
+    "reprompt every frame": TrackerConfig(
+        reprompt_period=1, reprompt_iou=0.6, reprompt_confidence=0.5
+    ),
+}
+STAGE_DIGESTS = {
+    ("duplicate_iou=0", "scenario"):
+        "0d38bbd12a18c07635d8468c0e8471b3a5ad0f00af20a76314439558b22706b8",
+    ("duplicate_iou=0", "hold"):
+        "a0cee69ff554223f00b5c19981c2da7a81fb1694439e13c7076abe0457d8b994",
+    ("duplicate_iou=0.5", "scenario"):
+        "1f4d49ad384da5492a61d16a0fadacd45435716aa42f550af12054a014a189ab",
+    ("duplicate_iou=0.5", "hold"):
+        "3b71b1ae4addfb67def71e2380de295a6b7428da3b9be8bd4d95ee4c52c536e0",
+    ("reprompt every frame", "scenario"):
+        "f65d6db174ff911e775d88f9c34513d0167b6127e5ee4296c083e1dae25fb181",
+    ("reprompt every frame", "hold"):
+        "4bf0dc88fceabe758c27d6a77d7d433f6fe2e72eac950dd609844cabddf5b6de",
+}
+
+
+@pytest.mark.parametrize("name, propagator", list(STAGE_DIGESTS))
+def test_stage_digest(name, propagator):
+    prop = hold_propagator if propagator == "hold" else None
+    assert masklets_digest(STAGE_CONFIGS[name], prop) == STAGE_DIGESTS[name, propagator]
