@@ -13,13 +13,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, groupby
-from typing import Callable, Iterable, Optional, Sequence
-
-import numpy as np
+from typing import Iterable, Optional, Sequence
 
 from .errors import UndefinedMetricError
 from .masks import FrameMaskSeq, RleMask
-from .matching import DEFAULT_GATE, Detection, gate, iou_matrix, optimal_match, plain_sum
+from .matching import DEFAULT_GATE, Detection, IouMatrix, gate, iou_matrix, optimal_match, plain_sum
 
 # Generated with integer arithmetic so the grid carries no accumulated float drift.
 IOU_THRESHOLDS: tuple[float, ...] = tuple((50 + 5 * k) / 100 for k in range(10))
@@ -165,11 +163,10 @@ def combine_scores(presence: float, query_score: float) -> float:
     return presence * query_score
 
 
-def _f1(tp, size):
-    """F1 from TP counts and ``size`` = predictions + ground truths, which
-    equals 2TP + FP + FN at every threshold; 1.0 when both sides are empty.
-    Takes numpy arrays or ints."""
-    return np.where(size > 0, 2 * tp / np.maximum(size, 1), 1.0)
+def _f1(tp: int, size: int) -> float:
+    """F1 from a TP count and ``size`` = predictions + ground truths, which
+    equals 2TP + FP + FN at every threshold; 1.0 when both sides are empty."""
+    return 2 * tp / size if size > 0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -191,7 +188,7 @@ class AnnotationEval:
 
     @property
     def f1(self) -> list[float]:
-        return _f1(np.array(self.tp), self.n_pred + self.n_gt).tolist()
+        return [_f1(tp, self.n_pred + self.n_gt) for tp in self.tp]
 
     @property
     def mean_f1(self) -> float:
@@ -214,11 +211,11 @@ def evaluate_annotation(
 
 
 def _evaluate_matrix(
-    matrix: np.ndarray, thresholds: Sequence[float] = IOU_THRESHOLDS
+    matrix: IouMatrix, thresholds: Sequence[float] = IOU_THRESHOLDS
 ) -> AnnotationEval:
     """:func:`evaluate_annotation` on its IoU matrix, rows = predictions."""
     ious = sorted(iou for _, _, iou in optimal_match(matrix).pairs)
-    n_pred, n_gt = matrix.shape
+    n_pred, n_gt = len(matrix), matrix.n_cols
     tp = tuple(len(ious) - bisect_left(ious, tau) for tau in thresholds)
     return AnnotationEval(n_pred, n_gt, tp)
 
@@ -275,7 +272,7 @@ def _fold(
     level: str,
     protocol: str,
     gate_threshold: float,
-    picks: Optional[np.ndarray] = None,
+    picks: Optional[Sequence[Sequence[int]]] = None,
 ) -> MetricReport:
     """One report from per-datapoint outcomes. Row ``r`` of ``picks`` holds,
     per datapoint, the index into ``evals`` of its outcome in trial ``r``
@@ -286,58 +283,63 @@ def _fold(
         raise ValueError(f"unknown aggregation mode {mode!r}")
     n_taus = len(IOU_THRESHOLDS)
     if picks is None:
-        picks = np.arange(len(evals))[None]
-    # Per outcome: TP per threshold, then n_pred and n_gt. One all-zero
-    # outcome past the end stands in for negatives in the sums.
-    counts = np.zeros((len(evals) + 1, n_taus + 2), dtype=np.int64)
-    for e, ev in enumerate(evals):
-        counts[e] = *ev.tp, ev.n_pred, ev.n_gt
-    f1 = _f1(counts[:, :n_taus], counts[:, n_taus:].sum(axis=1, keepdims=True))
-    f1[-1] = 0.0  # the stand-in adds nothing to the macro sums
-    positive, predicted = counts[picks, -1] > 0, counts[picks, -2] > 0
-    n_pos = positive.sum(axis=1)
-    if not n_pos.all():
-        raise UndefinedMetricError("localization F1 needs at least one positive datapoint")
-
-    summed = np.where(positive, picks, len(evals))
-    sums = np.stack([counts[row].sum(axis=0) for row in summed])
-    tp, n_pred, n_gt = sums[:, :n_taus], sums[:, -2:-1], sums[:, -1:]
-    fp, fn = n_pred - tp, n_gt - tp
-    micro_per_tau = _f1(tp, n_pred + n_gt)
-    # fsum is exactly rounded, so folds are independent of datapoint order
-    macro_per_tau = np.array([
-        [math.fsum(col) / n for col in f1[row].T.tolist()]
-        for row, n in zip(summed, n_pos.tolist())
-    ])
-    micro_f1 = np.array([math.fsum(r) / n_taus for r in micro_per_tau.tolist()])
-    macro_f1 = np.array([math.fsum(r) / n_taus for r in macro_per_tau.tolist()])
-    il = np.stack([(positive == a) & (predicted == b) for a, b in _PRESENCE_CELLS], axis=2).sum(axis=1)
-    mcc = np.array([_mcc(*c) for c in il.tolist()])
-    loc = micro_f1 if mode == "micro" else macro_f1
+        picks = [range(len(evals))]
+    # per outcome: TP per threshold, then n_pred and n_gt
+    counts = [(*ev.tp, ev.n_pred, ev.n_gt) for ev in evals]
+    f1 = [ev.f1 for ev in evals]
+    trials = []
+    for row in picks:
+        positives = [e for e in row if evals[e].positive]
+        if not positives:
+            raise UndefinedMetricError("localization F1 needs at least one positive datapoint")
+        *tp, n_pred, n_gt = map(sum, zip(*(counts[e] for e in positives)))
+        micro_per_tau = [_f1(t, n_pred + n_gt) for t in tp]
+        # fsum is exactly rounded, so folds are independent of datapoint order
+        macro_per_tau = [
+            math.fsum(col) / len(positives) for col in zip(*(f1[e] for e in positives))
+        ]
+        micro_f1 = math.fsum(micro_per_tau) / n_taus
+        macro_f1 = math.fsum(macro_per_tau) / n_taus
+        loc = micro_f1 if mode == "micro" else macro_f1
+        il = [
+            sum(evals[e].positive == a and evals[e].predicted == b for e in row)
+            for a, b in _PRESENCE_CELLS
+        ]
+        mcc = _mcc(*il)
+        trials.append((
+            100.0 * loc * mcc, loc, micro_f1, macro_f1, mcc, il,
+            len(positives), len(row) - len(positives),
+            tp, [n_pred - t for t in tp], [n_gt - t for t in tp], micro_per_tau, macro_per_tau,
+        ))
 
     def med(values):
-        # One trial is its own median; skipping np.median there also keeps the
-        # fixed protocols from paging in numpy's partition code (about 0.5 MB).
-        return (values[0] if len(picks) == 1 else np.median(values, axis=0)).tolist()
+        # One trial is its own median; of a list, the median of each column.
+        # Adding the median to 0.0 repeats numpy's median, which averages the
+        # middle values from 0.0, so that a zero median is never -0.0.
+        if len(values) == 1:
+            return values[0]
+        import statistics  # loads decimal, fractions and random: ~0.5 MB of RSS
 
+        if isinstance(values[0], list):
+            return [0.0 + statistics.median(col) for col in zip(*values)]
+        return 0.0 + statistics.median(values)
+
+    (cg, loc, micro_f1, macro_f1, mcc, il, n_pos, n_neg,
+     tp, fp, fn, micro_per_tau, macro_per_tau) = map(med, zip(*trials))
     count = float if protocol == "random-pair" else int
-    per_tau = zip(
-        IOU_THRESHOLDS,
-        *(map(count, med(a)) for a in (tp, fp, fn)),
-        med(micro_per_tau),
-        med(macro_per_tau),
-    )
+    per_tau = zip(IOU_THRESHOLDS, *(map(count, c) for c in (tp, fp, fn)),
+                  micro_per_tau, macro_per_tau)
     return MetricReport(
-        cg_f1=med(100.0 * loc * mcc),
-        localization_f1=med(loc),
-        micro_f1=med(micro_f1),
-        macro_f1=med(macro_f1),
-        mcc=med(mcc),
-        il=ILCounts(*map(int, med(il))),
+        cg_f1=cg,
+        localization_f1=loc,
+        micro_f1=micro_f1,
+        macro_f1=macro_f1,
+        mcc=mcc,
+        il=ILCounts(*map(int, il)),
         per_threshold=tuple(ThresholdStat(*row) for row in per_tau),
-        n_datapoints=picks.shape[1],
-        n_positive=int(med(n_pos)),
-        n_negative=int(med(picks.shape[1] - n_pos)),
+        n_datapoints=len(picks[0]),
+        n_positive=int(n_pos),
+        n_negative=int(n_neg),
         level=level,
         mode=mode,
         protocol=protocol,
@@ -429,33 +431,6 @@ def il_mcc(c: ILCounts) -> float:
     return _mcc(c.il_tp, c.il_tn, c.il_fp, c.il_fn)
 
 
-def weighted_presence_mcc(
-    dps: Sequence[DataPoint],
-    weight: Callable[[DataPoint], float],
-    *,
-    gate_threshold: float = DEFAULT_GATE,
-    annotation_index: int = 0,
-) -> float:
-    """MCC over weighted presence counts.
-
-    Hook for reweighting schemes (e.g. extrapolating a subsampled negative
-    pool back to its population size). No default weighting ships; callers
-    supply the per-datapoint weight.
-    """
-    cells = [0.0] * len(_PRESENCE_CELLS)  # tp, tn, fp, fn
-    for dp in dps:
-        w = weight(dp)
-        if not 0.0 <= w < math.inf:  # false for NaN too
-            raise ValueError(
-                f"datapoint {dp.media_id}/{dp.phrase} has weight {w!r}; "
-                "weights must be finite and non-negative"
-            )
-        positive = dp.is_positive(annotation_index)
-        predicted = len(gate(dp.predictions, gate_threshold)) > 0
-        cells[_PRESENCE_CELLS.index((positive, predicted))] += w
-    return _mcc(*cells)
-
-
 def _check_annotators(dps: Sequence[DataPoint]):
     """Reject masklets and datapoints with fewer than 2 annotations."""
     _check_media(dps, "image")
@@ -469,13 +444,13 @@ def _annotator_pairs(dp: DataPoint, pairs: Iterable[tuple[int, int]]) -> list[An
     unordered pair is computed once and the reverse order is scored on its
     transpose, which is exact: ``mask_iou`` divides two integers that do not
     depend on the argument order."""
-    matrices: dict[tuple[int, int], np.ndarray] = {}
+    matrices: dict[tuple[int, int], IouMatrix] = {}
     evals = []
     for g, p in pairs:
         a, b = min(g, p), max(g, p)
         if (a, b) not in matrices:
             matrices[a, b] = iou_matrix(dp.annotation_masks(a), dp.annotation_masks(b))
-        evals.append(_evaluate_matrix(matrices[a, b] if p == a else matrices[a, b].T))
+        evals.append(_evaluate_matrix(matrices[a, b] if p == a else matrices[a, b].transpose()))
     return evals
 
 
@@ -507,6 +482,8 @@ def random_pair(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_annotators(dps)
+    import numpy as np
+
     # Each trial has its own generator; per datapoint with k annotations it
     # draws g from k and p from the k - 1 others, interleaved in one call.
     ks = np.array([len(dp.annotations) for dp in dps], dtype=np.int64)
@@ -524,7 +501,8 @@ def random_pair(
     evals = []
     for d, keys_of_dp in groupby(distinct.tolist(), key=lambda key: key // (k * k)):
         evals += _annotator_pairs(dps[d], [(key // k % k, key % k) for key in keys_of_dp])
-    return _fold(evals, mode, "image", "random-pair", DEFAULT_GATE, picks.reshape(keys.shape))
+    picks = picks.reshape(keys.shape).tolist()
+    return _fold(evals, mode, "image", "random-pair", DEFAULT_GATE, picks)
 
 
 def counting_metrics(pairs: Sequence[tuple[int, int]]) -> tuple[float, float]:

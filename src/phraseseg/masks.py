@@ -19,11 +19,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import UndefinedMetricError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class _RunLengthsError(ValueError):
@@ -76,6 +77,8 @@ class RleMask:
 
     def decode(self) -> np.ndarray:
         """A new dense boolean grid, shape ``(height, width)``, on each call."""
+        import numpy as np
+
         values = np.zeros(len(self.counts), dtype=bool)
         values[1::2] = True
         flat = np.repeat(values, np.asarray(self.counts, dtype=np.int64))
@@ -118,6 +121,8 @@ def _runs_of(mask: RleMask) -> list[int]:
 
 def rle_encode(grid) -> RleMask:
     """Encode a rectangular binary grid, scanning columns first."""
+    import numpy as np
+
     arr = np.asarray(grid)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError("grid must be a non-empty 2-D array")

@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .masks import FrameMaskSeq, RleMask, mask_iom, mask_iou
 
 
@@ -66,15 +64,30 @@ class Matching:
         return {p: g for p, g, _ in self.pairs}
 
 
+class IouMatrix(list):
+    """An IoU matrix as a list of row lists, rows = predictions, that also
+    holds its column count, which a matrix without rows cannot show."""
+
+    def __init__(self, rows, n_cols: int):
+        super().__init__(rows)
+        self.n_cols = n_cols
+
+    @property
+    def size(self) -> int:
+        """The number of cells."""
+        return len(self) * self.n_cols
+
+    def transpose(self) -> "IouMatrix":
+        """The same cells with rows and columns swapped."""
+        cols = [list(col) for col in zip(*self)] if self else [[] for _ in range(self.n_cols)]
+        return IouMatrix(cols, len(self))
+
+
 def iou_matrix(
     pred_masks: Sequence[RleMask | FrameMaskSeq], gt_masks: Sequence[RleMask | FrameMaskSeq]
-) -> np.ndarray:
+) -> IouMatrix:
     """Pairwise IoU (volume IoU for masklets), rows = predictions, columns = ground truths."""
-    out = np.zeros((len(pred_masks), len(gt_masks)))
-    for i, p in enumerate(pred_masks):
-        for j, g in enumerate(gt_masks):
-            out[i, j] = mask_iou(p, g)
-    return out
+    return IouMatrix([[mask_iou(p, g) for g in gt_masks] for p in pred_masks], len(gt_masks))
 
 
 def linear_sum_assignment(rows: list[list[float]]):
@@ -157,6 +170,20 @@ def _completion(m: list[list[float]], prefix, next_row) -> tuple[list[tuple[int,
     return pairs, _canonical_total(m, pairs)
 
 
+def _rows(matrix) -> list[list[float]]:
+    """``matrix`` as row lists of floats. An :class:`IouMatrix` is read as it
+    is; anything else goes through numpy's conversion, which raises numpy's
+    own errors."""
+    if isinstance(matrix, IouMatrix):
+        return matrix
+    import numpy as np
+
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2:
+        raise ValueError("IoU matrix must be 2-D")
+    return m.tolist()
+
+
 def optimal_match(matrix) -> Matching:
     """Max-total-IoU injective assignment of predictions to ground truths.
 
@@ -178,10 +205,7 @@ def optimal_match(matrix) -> Matching:
     ``u[i] + v[j] - m[i][j]``, so a lower column whose slack exceeds 1e-9
     cannot reach the optimal total and is skipped without a re-solve.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise ValueError("IoU matrix must be 2-D")
-    m = m.tolist()
+    m = _rows(matrix)
     bad = "IoU matrix entries must be finite values in [0, 1]"
     cells = []  # the positive cells, in row order
     for i, row in enumerate(m):

@@ -9,14 +9,16 @@ truth with its own jitter. Everything is a pure function of (config, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .masks import BBox, FrameMaskSeq, RleMask, bbox_of, mask_iou
 from .matching import Detection, gate, iou_matrix, optimal_match
 from .tracker import Masklet, Propagator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_PROMPT_ITERATIONS = 5
 EXEMPLAR_IOU = 0.5  # a match at this IoU is a hit; a false positive below it, a negative
@@ -53,7 +55,7 @@ class ScenarioConfig:
             raise ValueError("miss probability must be in [0, 1]")
         if not 0.0 <= self.distractor_prob <= 1.0:
             raise ValueError("distractor probability must be in [0, 1]")
-        if not 0.0 <= self.fp_rate < np.inf:  # false for NaN too
+        if not 0.0 <= self.fp_rate < math.inf:  # false for NaN too
             raise ValueError(f"false-positive rate must be finite and >= 0, got {self.fp_rate}")
         for name in ("max_step", "jitter_px", "prop_jitter_px"):
             if getattr(self, name) < 0:
@@ -94,6 +96,8 @@ def _shifted(box: BBox, dx: int, dy: int, height: int, width: int) -> BBox:
 
 
 def _sample_trajectory(cfg: ScenarioConfig, rng: np.random.Generator) -> list[BBox]:
+    import numpy as np
+
     w = int(rng.integers(cfg.min_size, cfg.max_size + 1))
     h = int(rng.integers(cfg.min_size, cfg.max_size + 1))
     xs_max, ys_max = cfg.width - w, cfg.height - h
@@ -122,6 +126,8 @@ def gen_scenario(cfg: ScenarioConfig) -> Scenario:
     all noise switched off, the tracker heuristics have nothing to misfire on
     and its output reproduces the ground truth exactly.
     """
+    import numpy as np
+
     rng = np.random.default_rng(cfg.seed)
 
     trajectories: list[list[BBox]] = []
@@ -284,6 +290,8 @@ def exemplar_policy(
         worst = max(matrix[p]) if len(gt_masks) else 0.0
         if worst < EXEMPLAR_IOU and det.mask.area > 0:
             negatives.append(bbox_of(det.mask))
+
+    import numpy as np
 
     rng = np.random.default_rng(seed)
     if positives and negatives:

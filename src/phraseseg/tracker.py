@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Iterable, Mapping, Optional, Sequence
-
-import numpy as np
 
 from .masks import FrameMaskSeq, RleMask, bbox_iou, bbox_of, mask_iou
 from .matching import Detection, gate, iou_matrix, optimal_match
@@ -174,7 +173,7 @@ class Tracker:
             m.scores[tau] = det.score
             self.masklets[m.id] = m
             ids.append(m.id)
-        matrix = np.vstack([matrix, iou_matrix([det.mask for det in spawned], det_masks)])
+        matrix += iou_matrix([det.mask for det in spawned], det_masks)
 
         # (3) add the frame-wise match indicator to every active masklet's sum
         for mid, row in zip(ids, matrix):
@@ -183,8 +182,11 @@ class Tracker:
         # (5) count the frames on which two masklets both overlap one
         # detection; the later masklet keeps the count, since only it can be
         # removed as the duplicate
-        near = matrix >= cfg.duplicate_iou
-        for a, b in np.argwhere(np.triu(near @ near.T, 1)):
+        near = [
+            [r for r, row in enumerate(matrix) if row[c] >= cfg.duplicate_iou]
+            for c in range(len(detections))
+        ]
+        for a, b in sorted({pair for rows in near for pair in combinations(rows, 2)}):
             shared = self.masklets[ids[b]].shared
             shared[ids[a]] = shared.get(ids[a], 0) + 1
 
@@ -197,7 +199,7 @@ class Tracker:
         if tau % cfg.reprompt_period == 0 and detections:
             for mid, row in zip(ids, matrix):
                 m = self.masklets[mid]
-                best = int(np.argmax(row))  # the first of equal maxima
+                best = max(range(len(row)), key=row.__getitem__)  # the first of equal maxima
                 if (
                     row[best] >= cfg.reprompt_iou
                     and detections[best].score > cfg.reprompt_confidence

@@ -11,16 +11,16 @@ own synthetic single-class sequence.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
-
-import numpy as np
 
 from .errors import UndefinedMetricError
 from .image_metrics import DataPoint, MetricReport, _report
 from .masks import FrameMaskSeq, RleMask, mask_iou
-from .matching import DEFAULT_GATE, Matching, gate, iou_matrix, optimal_match, plain_sum
+from .matching import DEFAULT_GATE, IouMatrix, Matching, gate, iou_matrix, optimal_match, plain_sum
 
 # Localization threshold grid of the HOTA family (integer-derived, no drift).
 HOTA_ALPHAS: tuple[float, ...] = tuple((5 + 5 * k) / 100 for k in range(19))
@@ -135,12 +135,51 @@ def _frame_detections(tracks: Sequence[FrameMaskSeq], t: int) -> tuple[list[int]
     return ids, masks
 
 
-def _sequence_stats(seq: RemappedSequence) -> tuple[np.ndarray, int, int, np.ndarray]:
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """``sum()`` of a contiguous float64 array, in numpy's order: numpy's
+    reduction adds the pairwise sum of the values to 0.0, which also turns a
+    -0.0 total into 0.0."""
+    return 0.0 + _pairwise(values, 0, len(values))
+
+
+def _pairwise(values: Sequence[float], start: int, n: int) -> float:
+    """numpy's pairwise summation of ``values[start:start + n]``: fewer than
+    8 values left to right; up to 128 in 8 interleaved accumulators, then the
+    tail in order; more split in two at a multiple of 8."""
+    if n < 8:
+        res = 0.0
+        for i in range(start, start + n):
+            res += values[i]
+        return res
+    if n <= 128:
+        r = list(values[start:start + 8])
+        end = start + n - n % 8
+        for i in range(start + 8, end, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, start + n):
+            res += values[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise(values, start, half) + _pairwise(values, start + half, n - half)
+
+
+def _column_sums(rows: list[list[float]]) -> list[float]:
+    """``sum(axis=0)`` of a float64 matrix with at least one row: down the
+    rows in order, except a single column, which numpy sums pairwise."""
+    if len(rows[0]) == 1:
+        return [_pairwise_sum([row[0] for row in rows])]
+    return [plain_sum(col) for col in zip(*rows)]
+
+
+def _sequence_stats(seq: RemappedSequence) -> tuple[list[int], int, int, list[float]]:
     """Per alpha TPs, the ground-truth and predicted detection totals, and per
-    alpha the sum over TPs of TPA / (TPA + FNA + FPA)."""
+    alpha the sum over TPs of TPA / (TPA + FNA + FPA). Float sums are taken
+    in numpy's order, on which the reported bytes depend."""
     n_alpha = len(HOTA_ALPHAS)
     n_gt, n_pred = len(seq.gt_tracks), len(seq.pred_tracks)
-    ass_sum = np.zeros(n_alpha)
     frames = sorted(
         {t for tr in seq.gt_tracks for t in tr.frames}
         | {t for tr in seq.pred_tracks for t in tr.frames}
@@ -148,46 +187,61 @@ def _sequence_stats(seq: RemappedSequence) -> tuple[np.ndarray, int, int, np.nda
 
     # First pass: per-track detection counts and similarity-weighted overlap,
     # from which the track-level alignment scores are derived.
-    gt_count = np.zeros(n_gt)
-    pred_count = np.zeros(n_pred)
-    potential = np.zeros((n_gt, n_pred))
-    per_frame: list[tuple[list[int], list[int], np.ndarray]] = []
+    gt_count = [0] * n_gt
+    pred_count = [0] * n_pred
+    potential = [[0.0] * n_pred for _ in range(n_gt)]
+    per_frame: list[tuple[list[int], list[int], array]] = []
     for t in frames:
         gt_ids, gt_masks = _frame_detections(seq.gt_tracks, t)
         pred_ids, pred_masks = _frame_detections(seq.pred_tracks, t)
-        sim = np.zeros((len(gt_masks), len(pred_masks)))
-        for a, gm in enumerate(gt_masks):
-            for b, pm in enumerate(pred_masks):
-                sim[a, b] = mask_iou(gm, pm)
         for i in gt_ids:
             gt_count[i] += 1
         for j in pred_ids:
             pred_count[j] += 1
-        if sim.size:
-            per_frame.append((gt_ids, pred_ids, sim))
-            denom = sim.sum(axis=1, keepdims=True) + sim.sum(axis=0, keepdims=True) - sim
-            weighted = np.divide(sim, denom, out=np.zeros_like(sim), where=denom > 0)
-            potential[np.ix_(gt_ids, pred_ids)] += weighted
+        if not gt_masks or not pred_masks:
+            continue
+        sim = [[mask_iou(gm, pm) for pm in pred_masks] for gm in gt_masks]
+        # sim kept row-major in an array of doubles, a quarter of a float list's memory
+        per_frame.append((gt_ids, pred_ids, array("d", chain.from_iterable(sim))))
+        col_sums = _column_sums(sim)
+        for i, row in zip(gt_ids, sim):
+            acc, rs = potential[i], _pairwise_sum(row)  # numpy's sum(axis=1) of the row
+            for j, cs, x in zip(pred_ids, col_sums, row):
+                denom = rs + cs - x
+                acc[j] += x / denom if denom > 0 else 0.0
 
-    alignment = np.zeros((n_gt, n_pred))
-    if n_gt and n_pred:
-        denom = gt_count[:, None] + pred_count[None, :] - potential
-        alignment = np.divide(potential, denom, out=alignment, where=denom > 0)
+    alignment = [
+        [p / d if (d := gc + pc - p) > 0 else 0.0 for pc, p in zip(pred_count, row)]
+        for gc, row in zip(gt_count, potential)
+    ]
 
     # Second pass: one matching per frame on alignment-weighted similarity. A
     # matched pair with similarity s is a TP at every alpha <= s, the leading
     # ones of the ascending grid.
-    matches_count = np.zeros((n_alpha, n_gt, n_pred), dtype=np.int64)
+    matches_count = [[[0] * n_pred for _ in range(n_gt)] for _ in range(n_alpha)]
     for gt_ids, pred_ids, sim in per_frame:
-        match = optimal_match(alignment[np.ix_(gt_ids, pred_ids)] * sim)
-        for a, b, _ in match.pairs:
-            matches_count[: bisect_right(HOTA_ALPHAS, sim[a, b]), gt_ids[a], pred_ids[b]] += 1
+        n = len(pred_ids)
+        weighted = IouMatrix(
+            [
+                [alignment[i][j] * x for j, x in zip(pred_ids, sim[r * n : (r + 1) * n])]
+                for r, i in enumerate(gt_ids)
+            ],
+            n,
+        )
+        for a, b, _ in optimal_match(weighted).pairs:
+            for k in range(bisect_right(HOTA_ALPHAS, sim[a * n + b])):
+                matches_count[k][gt_ids[a]][pred_ids[b]] += 1
 
-    for k in range(n_alpha):
-        cnt = matches_count[k]
-        denom = np.maximum(1.0, gt_count[:, None] + pred_count[None, :] - cnt)
-        ass_sum[k] = float(np.sum(cnt * (cnt / denom)))
-    return matches_count.sum(axis=(1, 2)), int(gt_count.sum()), int(pred_count.sum()), ass_sum
+    ass_sum = [
+        _pairwise_sum([
+            c * (c / max(1.0, gc + pc - c))
+            for gc, row in zip(gt_count, counts)
+            for pc, c in zip(pred_count, row)
+        ])
+        for counts in matches_count
+    ]
+    tp = [sum(map(sum, counts)) for counts in matches_count]
+    return tp, sum(gt_count), sum(pred_count), ass_sum
 
 
 def hota(track_set: RemappedTrackSet) -> HotaResult:
@@ -201,30 +255,25 @@ def hota(track_set: RemappedTrackSet) -> HotaResult:
         raise UndefinedMetricError("HOTA is undefined without any ground truth or prediction")
 
     n_alpha = len(HOTA_ALPHAS)
-    tp = np.zeros(n_alpha, dtype=np.int64)
-    ass_sum = np.zeros(n_alpha)
+    tp = [0] * n_alpha
+    ass_sum = [0.0] * n_alpha
     n_gt = n_pred = 0  # detections: (track, frame) pairs with a non-empty mask
     for seq in track_set.sequences:
         seq_tp, seq_gt, seq_pred, seq_ass_sum = _sequence_stats(seq)
-        tp += seq_tp
+        tp = [a + b for a, b in zip(tp, seq_tp)]
         n_gt += seq_gt
         n_pred += seq_pred
-        ass_sum += seq_ass_sum
-    fn, fp = n_gt - tp, n_pred - tp
+        ass_sum = [a + b for a, b in zip(ass_sum, seq_ass_sum)]
 
     per_alpha = []
-    for k, alpha in enumerate(HOTA_ALPHAS):
-        det_a = tp[k] / max(1, tp[k] + fn[k] + fp[k])
-        ass_a = ass_sum[k] / max(1, tp[k])
+    for alpha, t, s in zip(HOTA_ALPHAS, tp, ass_sum):
+        fn, fp = n_gt - t, n_pred - t
+        det_a = t / max(1, t + fn + fp)
+        ass_a = s / max(1, t)
         per_alpha.append(
             AlphaStats(
-                alpha=alpha,
-                tp=int(tp[k]),
-                fn=int(fn[k]),
-                fp=int(fp[k]),
-                det_a=float(det_a),
-                ass_a=float(ass_a),
-                hota=float(math.sqrt(det_a * ass_a)),
+                alpha=alpha, tp=t, fn=fn, fp=fp,
+                det_a=det_a, ass_a=ass_a, hota=math.sqrt(det_a * ass_a),
             )
         )
     return HotaResult(

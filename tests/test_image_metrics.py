@@ -21,7 +21,7 @@ from phraseseg import (
     pm_f1,
     random_pair,
 )
-from phraseseg.image_metrics import evaluate_annotation, human_oracle, weighted_presence_mcc
+from phraseseg.image_metrics import AnnotationEval, _fold, evaluate_annotation, human_oracle
 
 from _reference import (
     reference_human_oracle,
@@ -362,6 +362,15 @@ class TestRandomPair:
         with pytest.raises(ValueError):
             random_pair([datapoint([m((0, 0))])], trials=4, seed=0)
 
+    def test_zero_median_is_positive_zero(self):
+        # every trial scores 0 localization times MCC -1, which is -0.0; the
+        # median of several trials is 0.0, as numpy's median gave
+        fn, fp = AnnotationEval(0, 1, (0,) * 10), AnnotationEval(1, 0, (0,) * 10)
+        one = _fold([fn, fp], "micro", "image", "random-pair", 0.5)
+        two = _fold([fn, fp], "micro", "image", "random-pair", 0.5, [[0, 1], [0, 1]])
+        assert one.mcc == two.mcc == -1.0
+        assert (one.cg_f1.hex(), two.cg_f1.hex()) == ("-0x0.0p+0", "0x0.0p+0")
+
     def test_human_oracle_beats_random_pair(self):
         anns = [[m((0, 0))], [m((0, 0), (1, 1))], [m((3, 3))]]
         dps = [
@@ -499,36 +508,3 @@ class TestCounting:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             counting_metrics([(-1, 0)])
-
-
-class TestWeightedMccHook:
-    def test_weights_one_match_plain(self):
-        dps = [
-            datapoint([m((0, 0))], [det(FULL, 0.9)], media="a"),
-            datapoint([], [det(FULL, 0.9)], media="b"),
-            datapoint([], media="c"),
-        ]
-        plain = il_mcc(il_counts(dps))
-        assert weighted_presence_mcc(dps, lambda dp: 1.0) == pytest.approx(plain)
-
-    def test_upweighting_negatives_changes_mcc(self):
-        dps = [
-            datapoint([m((0, 0))], [det(FULL, 0.9)], media="a"),
-            datapoint([], [det(FULL, 0.9)], media="b"),
-            datapoint([], media="c"),
-        ]
-        boosted = weighted_presence_mcc(
-            dps, lambda dp: 1.0 if dp.annotations[0] else 5.0
-        )
-        assert boosted != weighted_presence_mcc(dps, lambda dp: 1.0)
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_presence_mcc([datapoint([])], lambda dp: -1.0)
-
-    @pytest.mark.parametrize("w", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_weight_rejected(self, w):
-        dps = [datapoint([], media="a"), datapoint([m((0, 0))], [det(FULL, 0.9)], media="b")]
-        weights = {"a": 1.0, "b": w}
-        with pytest.raises(ValueError, match="datapoint b/thing has weight"):
-            weighted_presence_mcc(dps, lambda dp: weights[dp.media_id])

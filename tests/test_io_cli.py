@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1096,6 +1099,56 @@ class TestGoldenReports:
         doc = json.loads((DATA / "golden_video_macro.json").read_text())
         assert doc["ignored_predictions"] == 1
         assert doc["datapoints"]["negative"] > 0 and doc["presence_counts"]["FP"] == 1
+
+
+# Runs one CLI command in a fresh interpreter and, unless it may load numpy,
+# checks that it did not.
+_FRESH_CLI = """
+import sys
+from phraseseg.cli import main
+code = main(sys.argv[2:])
+if sys.argv[1] == "numpy-free" and "numpy" in sys.modules:
+    sys.exit("numpy was imported")
+sys.exit(code)
+"""
+
+
+class TestCliInFreshInterpreter:
+    """Scoring and tracking never import numpy; the commands that draw random
+    numbers import it on use and still write their golden bytes."""
+
+    @pytest.mark.parametrize(
+        "numpy_free, args, golden",
+        [
+            (True, ["eval-image", "--gt", "image_corpus_gt.json",
+                    "--pred", "image_corpus_pred.json"], "golden_image_report.json"),
+            (True, ["count", "--gt", "image_corpus_gt.json",
+                    "--pred", "image_corpus_pred.json"], "golden_count.json"),
+            (True, ["eval-video", "--gt", "video_corpus_gt.json",
+                    "--pred", "video_corpus_pred.json", "--macro"], "golden_video_macro.json"),
+            (True, ["track", "--detections", "golden_sim_detections.json",
+                    "--propagator", "tracks", "--tracks", "golden_sim_tracks.json"],
+             "golden_track_masklets.json"),
+            (False, ["simulate", "--config", "golden_sim_config.json"],
+             "golden_sim_detections.json"),
+            (False, ["eval-image", "--gt", "annotator_corpus_gt.json",
+                     "--random-pair", "41", "--seed", "7"], "golden_random_pair_41_seed7.json"),
+        ],
+        ids=["eval-image", "count", "eval-video", "track", "simulate", "random-pair"],
+    )
+    def test_command(self, tmp_path, numpy_free, args, golden):
+        out = tmp_path / "out.json"
+        flag = {"simulate": "--out-detections", "track": "--out"}.get(args[0], "--report")
+        argv = [str(DATA / a) if a.endswith(".json") else a for a in args] + [flag, str(out)]
+        src = str(Path(sys.modules["phraseseg"].__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", _FRESH_CLI, "numpy-free" if numpy_free else "any", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 class TestLoadersRejectCoercion:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from phraseseg import IOU_THRESHOLDS, RleMask, iom_nms, local_f1, matching, optimal_match
 from phraseseg.image_metrics import _evaluate_matrix
+from phraseseg.matching import IouMatrix
 
 from _reference import brute_match, greedy_match_total, validate_matrix
 from conftest import datapoint, det, mask_from_pixels, rect_mask
@@ -263,6 +264,11 @@ class TestSolver:
         assert out.stdout.strip() == "[]"
 
 
+def _iou(array):
+    """An ndarray as the IoU matrix type ``_evaluate_matrix`` takes."""
+    return IouMatrix(array.tolist(), array.shape[1])
+
+
 class TestCounts:
     """One matching thresholded per tau: a matched pair with IoU >= tau is a
     TP, FP = n_pred - TP and FN = n_gt - TP."""
@@ -280,17 +286,17 @@ class TestCounts:
         return datapoint([gt], [det(pred, 0.9), det(far, 0.9)])
 
     def test_spec_example_low_threshold(self):
-        ev = _evaluate_matrix(np.array([[0.6], [0.0]]), (0.5,))
+        ev = _evaluate_matrix(_iou(np.array([[0.6], [0.0]])), (0.5,))
         assert self.counts(ev) == (1, 1, 0)
         assert local_f1(self.spec_example(), 0, 0.5) == 2 / 3
 
     def test_spec_example_high_threshold(self):
-        ev = _evaluate_matrix(np.array([[0.6], [0.0]]), (0.75,))
+        ev = _evaluate_matrix(_iou(np.array([[0.6], [0.0]])), (0.75,))
         assert self.counts(ev) == (0, 2, 1)
         assert local_f1(self.spec_example(), 0, 0.75) == 0.0
 
     def test_perfect(self):
-        ev = _evaluate_matrix(np.eye(4), (0.5, 0.75, 1.0))
+        ev = _evaluate_matrix(_iou(np.eye(4)), (0.5, 0.75, 1.0))
         for k in range(3):
             assert self.counts(ev, k) == (4, 0, 0)
         assert ev.f1 == [1.0, 1.0, 1.0]
@@ -308,7 +314,7 @@ class TestCounts:
         # ground truth 0 (IoU 0.6)
         matrix = np.array([[0.6, 0.55], [0.5, 0.0]])
         assert optimal_match(matrix).gt_for() == {0: 1, 1: 0}
-        assert self.counts(_evaluate_matrix(matrix, (0.6,))) == (0, 2, 2)
+        assert self.counts(_evaluate_matrix(_iou(matrix), (0.6,))) == (0, 2, 2)
 
     def test_threshold_grid_exact(self):
         assert IOU_THRESHOLDS == (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
@@ -317,7 +323,7 @@ class TestCounts:
         for _ in range(50):
             n, m = rng.integers(1, 6, size=2)
             matrix = rng.random((n, m))
-            ev = _evaluate_matrix(matrix)
+            ev = _evaluate_matrix(_iou(matrix))
             ious = [iou for _, _, iou in optimal_match(matrix).pairs]
             assert ev.tp == tuple(sum(iou >= t for iou in ious) for t in IOU_THRESHOLDS)
             assert list(ev.tp) == sorted(ev.tp, reverse=True)

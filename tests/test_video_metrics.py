@@ -19,7 +19,7 @@ from phraseseg import (
 )
 from phraseseg.image_metrics import human_oracle
 from phraseseg.matching import iou_matrix
-from phraseseg.video_metrics import HOTA_ALPHAS
+from phraseseg.video_metrics import HOTA_ALPHAS, _column_sums, _pairwise_sum
 
 from _reference import reference_hota, reference_image_metrics
 from conftest import datapoint, det, mask_from_pixels, random_mask, rect_mask, seq
@@ -186,15 +186,15 @@ class TestSharedImagePath:
     @given(st.lists(masklets(), max_size=3), st.lists(masklets(), max_size=3))
     def test_iou_matrix_is_volume_iou(self, preds, gts):
         matrix = iou_matrix([t for t, _ in preds], [t for t, _ in gts])
-        assert matrix.shape == (len(preds), len(gts))
+        assert (len(matrix), matrix.n_cols) == (len(preds), len(gts))
         for i, (p, _) in enumerate(preds):
             for j, (g, _) in enumerate(gts):
                 expected = 0.0 if not p.area and not g.area else volume_iou(p, g)
-                assert matrix[i, j] == expected
+                assert matrix[i][j] == expected
 
     def test_two_empty_masklets_score_zero(self):
         empty = seq(2, 2, {0: RleMask.empty(2, 2)})
-        assert iou_matrix([seq(2, 2, {})], [empty]).tolist() == [[0.0]]
+        assert iou_matrix([seq(2, 2, {})], [empty]) == [[0.0]]
 
 
 class TestMediaKind:
@@ -268,6 +268,47 @@ def as_sets(track: FrameMaskSeq):
         for t, mask in track.frames.items()
         if mask.area > 0
     }
+
+
+def _hexes(values):
+    return [float(x).hex() for x in values]
+
+
+def _mixed(seed, shape):
+    """Floats of mixed signs and magnitudes, so sums in another order round
+    differently."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+
+
+class TestNumpySumOrder:
+    """HOTA's float sums repeat numpy's summation order bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_sum_of_every_length_up_to_300(self, seed):
+        for n in range(301):
+            x = _mixed(seed, n)
+            assert _pairwise_sum(x.tolist()).hex() == float(x.sum()).hex(), n
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False), st.sampled_from([0.0, -0.0])),
+                    max_size=300))
+    def test_sum_of_any_values(self, values):
+        with np.errstate(over="ignore", invalid="ignore"):  # huge values overflow alike
+            expected = float(np.array(values, dtype=float).sum())
+        assert _pairwise_sum(values).hex() == expected.hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.tuples(st.integers(1, 300), st.just(1)),
+                     st.tuples(st.integers(1, 40), st.integers(1, 300))),
+           st.integers(0, 2**32 - 1))
+    def test_row_and_column_sums(self, shape, seed):
+        x = _mixed(seed, shape)
+        rows = x.tolist()
+        assert _hexes(map(_pairwise_sum, rows)) == _hexes(x.sum(axis=1))
+        assert _hexes(_column_sums(rows)) == _hexes(x.sum(axis=0))
+        assert _pairwise_sum(x.ravel().tolist()).hex() == float(x.sum()).hex()
 
 
 class TestHota:
