@@ -7,6 +7,7 @@ was undefined on the given data.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -55,6 +56,27 @@ def _annotation_index(args, dps) -> int:
     index = args.annotation_index or 0
     _check_annotation_count(dps, index + 1, f"--annotation-index {index} is out of range")
     return index
+
+
+_INPUTS = ("gt", "pred", "detections", "config", "tracks")
+_OUTPUTS = ("report", "out", "out_detections", "out_gt", "out_tracks")
+
+
+def _check_distinct_outputs(args):
+    """Reject, naming both flags, an output path that names another output or
+    an input of the same command, before anything is written."""
+    flags: dict[str, str] = {}  # real path -> the first flag that names it
+    errors = []
+    for name in _INPUTS + _OUTPUTS:
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        flag, real = "--" + name.replace("_", "-"), os.path.realpath(path)
+        if name in _OUTPUTS and real in flags:
+            errors.append(f"{flag} {path} names the same file as {flags[real]}")
+        flags.setdefault(real, flag)
+    if errors:
+        raise ValidationError(errors)
 
 
 def _gate(args) -> float:
@@ -145,6 +167,8 @@ def _cmd_eval_image(args) -> int:
         raise ValidationError(["choose exactly one of --pred, --random-pair or --human-oracle"])
     if not args.pred and (args.oracle or args.annotation_index is not None):
         raise ValidationError(["--oracle and --annotation-index apply only with --pred"])
+    if args.oracle and args.annotation_index is not None:
+        raise ValidationError(["--annotation-index does not apply with --oracle"])
     if not args.random_pair and args.seed is not None:
         raise ValidationError(["--seed applies only with --random-pair"])
     if not args.pred and args.gate is not None:
@@ -295,6 +319,7 @@ _COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_distinct_outputs(args)
         return _COMMANDS[args.command](args)
     except ValidationError as exc:
         for line in exc.errors:

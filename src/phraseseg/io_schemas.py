@@ -16,7 +16,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError
 from .image_metrics import DataPoint, GtInstance, combine_scores
@@ -112,14 +112,20 @@ def _array(doc: dict, key: str, errs: _Collector) -> list:
     return value
 
 
+def _frame_index(key: str) -> Optional[int]:
+    """The frame that ``key`` names, if it is that frame's canonical spelling ``str(t)``."""
+    idx = int(key) if key.isascii() and key.isdigit() else None
+    return idx if idx is not None and str(idx) == key else None
+
+
 def _frame_keyed(obj: dict, media: MediaInfo, where: str, errs: _Collector) -> dict[int, Any]:
     """The entries of an object keyed by frame, by frame index. Only the
     canonical spelling ``str(t)`` of a frame in the media's range is a key, so
     no two keys can name one frame; other keys are reported and left out."""
     out: dict[int, Any] = {}
     for key, value in obj.items():
-        idx = int(key) if key.isascii() and key.isdigit() else None
-        if idx is None or str(idx) != key:
+        idx = _frame_index(key)
+        if idx is None:
             errs.add(where, f"frame key {key!r} is not a canonical integer")
         elif not 0 <= idx < media.frames:
             errs.add(where, f"frame {idx} outside media frame range 0..{media.frames - 1}")
@@ -474,29 +480,33 @@ def detection_stream_doc(media: MediaInfo, frames: Sequence[Sequence[Detection]]
     }
 
 
-def _masklet_records_doc(media: MediaInfo, records) -> dict:
-    """Masklet-schema document from ``(id, first_frame, frames)`` records."""
+def _first_frame(frames: Iterable[int]) -> int:
+    """A masklet's ``first_frame``: its smallest frame key, null frames
+    included, or 0 when it has no frames."""
+    return min(frames, default=0)
+
+
+def _masklets_doc(
+    media: MediaInfo, masklets: Mapping[int, Mapping[int, Optional[RleMask]]]
+) -> dict:
+    """Masklet-schema document from each id's frame map."""
     return {
         "schema_version": SCHEMA_VERSION,
         "media": _media_doc(media),
         "masklets": [
-            {"id": mid, "first_frame": first, "frames": _frames_doc(frames)}
-            for mid, first, frames in records
+            {"id": mid, "first_frame": _first_frame(frames), "frames": _frames_doc(frames)}
+            for mid, frames in sorted(masklets.items())
         ],
     }
 
 
 def tracks_doc(media: MediaInfo, tracks: dict[int, FrameMaskSeq]) -> dict:
     """Masklet-schema document from plain per-id frame sequences."""
-    return _masklet_records_doc(
-        media, ((tid, min(s.frames, default=0), s.frames) for tid, s in sorted(tracks.items()))
-    )
+    return _masklets_doc(media, {tid: s.frames for tid, s in tracks.items()})
 
 
 def masklets_doc(media: MediaInfo, result: TrackResult) -> dict:
-    return _masklet_records_doc(
-        media, ((mid, m.t_first, m.frames) for mid, m in sorted(result.masklets.items()))
-    )
+    return _masklets_doc(media, result.masklets)
 
 
 def load_masklets(path) -> tuple[MediaInfo, dict[int, FrameMaskSeq]]:
@@ -517,6 +527,14 @@ def load_masklets(path) -> tuple[MediaInfo, dict[int, FrameMaskSeq]]:
         seq = _parse_frame_masks(rec["frames"], media, where, errs)
         if seq is None:
             continue
+        if "first_frame" in rec:
+            # a key that names no frame was reported by _parse_frame_masks
+            keys = (t for t in map(_frame_index, rec["frames"]) if t is not None)
+            first, expected = rec["first_frame"], _first_frame(keys)
+            if not (_is_int(first) and first == expected):
+                errs.add(where, f"first_frame must be {expected}, the smallest frame key, "
+                                f"got {first!r}")
+                continue
         if mid in masklets:
             errs.add(where, f"duplicate masklet id {mid}")
             continue
@@ -646,15 +664,28 @@ def check_writable(*paths):
         raise ValidationError(errors)
 
 
+def _file_mode(path) -> int:
+    """The mode ``open(path, "w")`` would leave: an existing file keeps its
+    own, a new one gets ``0o666`` less the umask."""
+    try:
+        return os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        umask = os.umask(0)  # the umask can only be read by setting it
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def write_atomic(path, text: str):
     """Write via a sibling temp file and rename, so readers never see a
-    partial report."""
+    partial report. The file gets the mode ``open(path, "w")`` would leave,
+    not the temp file's 0o600."""
     check_writable(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
+        os.chmod(tmp, _file_mode(path))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

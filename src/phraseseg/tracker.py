@@ -92,27 +92,20 @@ class FrameOutput:
 
 
 @dataclass
-class EmittedMasklet:
-    id: int
-    t_first: int
-    frames: dict[int, Optional[RleMask]]
-
-    def sequence(self, height: int, width: int) -> FrameMaskSeq:
-        return FrameMaskSeq(
-            height, width, {t: m for t, m in self.frames.items() if m is not None}
-        )
-
-
-@dataclass
 class TrackResult:
+    """The shown output of a whole video: each masklet id's frame map, in
+    which ``None`` marks a suppressed frame."""
+
     height: int
     width: int
-    outputs: list[FrameOutput]
-    masklets: dict[int, EmittedMasklet]
+    masklets: dict[int, dict[int, Optional[RleMask]]]
 
     def sequences(self) -> dict[int, FrameMaskSeq]:
         return {
-            mid: m.sequence(self.height, self.width) for mid, m in self.masklets.items()
+            mid: FrameMaskSeq(
+                self.height, self.width, {t: m for t, m in frames.items() if m is not None}
+            )
+            for mid, frames in self.masklets.items()
         }
 
 
@@ -299,7 +292,12 @@ def run(
     end of stream.
     """
     tracker = Tracker(config)
-    outputs: list[FrameOutput] = []
+    masklets: dict[int, dict[int, Optional[RleMask]]] = {}
+
+    def show(out: FrameOutput):
+        for mid, mask in out.masks.items():
+            masklets.setdefault(mid, {})[out.frame] = mask
+
     for dets in frame_detections:
         propagated = {
             mid: propagator(tracker.masklets[mid], tracker.clock)
@@ -307,17 +305,9 @@ def run(
         }
         out = tracker.step(propagated, gate(dets, config.detection_gate))
         if out is not None:
-            outputs.append(out)
-    outputs.extend(tracker.flush())
+            show(out)
+    for out in tracker.flush():
+        show(out)
 
     grid = next(((d.mask.height, d.mask.width) for ds in frame_detections for d in ds), (1, 1))
-    masklets: dict[int, EmittedMasklet] = {}
-    for out in outputs:
-        for mid, mask in out.masks.items():
-            # A masklet is shown from its spawn frame on, so its first output
-            # frame is its t_first.
-            rec = masklets.setdefault(mid, EmittedMasklet(id=mid, t_first=out.frame, frames={}))
-            rec.frames[out.frame] = mask
-    return TrackResult(
-        height=grid[0], width=grid[1], outputs=outputs, masklets=masklets
-    )
+    return TrackResult(height=grid[0], width=grid[1], masklets=masklets)

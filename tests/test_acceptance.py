@@ -180,8 +180,7 @@ def test_criterion_5_tracker_scenarios():
         for t in (5, 6, 7):
             events[t] = [det(obj), det(spur)]
         result = _run_events(events, 40)
-        assert {mid for out in result.outputs for mid in out.masks} == {0}
-        assert all(out.masks[0] == obj for out in result.outputs)
+        assert result.masklets == {0: dict.fromkeys(range(40), obj)}
 
         # (b) duplicate masklet with the later first frame is removed once the
         # pair shares a detection for ceil(T/2) = 8 frames
@@ -206,7 +205,7 @@ def test_criterion_5_tracker_scenarios():
         events = {t: [det(obj)] for t in range(0, 20)}
         events.update({t: [det(obj)] for t in range(41, 70)})
         result = _run_events(events, 70)
-        frames = result.masklets[0].frames
+        frames = result.masklets[0]
         assert set(result.masklets) == {0}
         assert frames[39] == obj
         assert frames[40] is None
@@ -222,7 +221,7 @@ def test_criterion_5_tracker_scenarios():
         def reprompt_run(det_mask, det_score, prop_conf, length=34):
             frames = [[Detection(mask=det_mask, score=det_score)] for _ in range(length)]
             cfg = TrackerConfig(recondition_bbox_iou=0.0)  # isolate re-prompting
-            return run(frames, fixed_propagator(prop_conf), cfg).masklets[0].frames
+            return run(frames, fixed_propagator(prop_conf), cfg).masklets[0]
 
         good = reprompt_run(_r(0, 0, 9, 2), 0.9, 0.9)  # IoU 0.9
         assert good[16] == _r(0, 0, 9, 2) and good[32] == _r(0, 0, 9, 2)
@@ -240,7 +239,7 @@ def test_criterion_5_tracker_scenarios():
         # bounding-box IoU drops below 0.85
         def recondition_run(prop_mask, det_mask, length=12):
             frames = [[Detection(mask=det_mask, score=0.7)] for _ in range(length)]
-            return run(frames, lambda m, f: (prop_mask, 0.7), TrackerConfig()).masklets[0].frames
+            return run(frames, lambda m, f: (prop_mask, 0.7), TrackerConfig()).masklets[0]
 
         fired = recondition_run(_r(0, 0, 20, 2), _r(0, 0, 16, 2))  # bbox IoU 0.80
         assert fired[1] == _r(0, 0, 16, 2)

@@ -18,7 +18,7 @@ from phraseseg.cli import main
 from phraseseg.image_metrics import DataPoint, GtInstance
 from phraseseg.masks import FrameMaskSeq
 from phraseseg.matching import Detection
-from phraseseg.tracker import EmittedMasklet, TrackResult
+from phraseseg.tracker import TrackResult
 
 from corpus import build_annotator_corpus, build_image_corpus, build_video_corpus
 from conftest import rect_mask
@@ -229,14 +229,7 @@ class TestRoundTrips:
     def test_masklets_round_trip(self, tmp_path):
         media = io.MediaInfo(id="vid", height=6, width=6, frames=4)
         mask = rect_mask(6, 6, 2, 2, 2, 2)
-        result = TrackResult(
-            height=6,
-            width=6,
-            outputs=[],
-            masklets={
-                3: EmittedMasklet(id=3, t_first=1, frames={1: mask, 2: None, 3: mask})
-            },
-        )
+        result = TrackResult(height=6, width=6, masklets={3: {1: mask, 2: None, 3: mask}})
         doc = io.masklets_doc(media, result)
         loaded_media, masklets = io.load_masklets(write(tmp_path / "m.json", doc))
         assert loaded_media == media
@@ -632,6 +625,10 @@ class TestCliRejectsIgnoredOrOutOfRangeFlags:
             (["--pred", None], ["--seed", "3"], "--seed applies only with --random-pair"),
             (["--random-pair", "5"], ["--gate", "0.9"], "--gate applies only with --pred"),
             (["--human-oracle"], ["--gate", "0.5"], "--gate applies only with --pred"),
+            (["--pred", None, "--oracle"], ["--annotation-index", "0"],
+             "--annotation-index does not apply with --oracle"),
+            (["--pred", None, "--oracle"], ["--annotation-index", "1"],
+             "--annotation-index does not apply with --oracle"),
         ],
     )
     def test_flag_ignored_by_protocol(self, tmp_path, capsys, protocol, extra, message):
@@ -749,6 +746,83 @@ class TestCliSimulateTrackRejections:
         assert main(["track", "--detections", dets, "--tracks", tracks, "--out", str(out)]) == 2
         assert "--tracks applies only with --propagator tracks" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestWrittenFileMode:
+    """A written file gets the mode ``open(path, "w")`` would leave, not the
+    temp file's 0o600."""
+
+    def test_new_file_follows_the_umask(self, tmp_path):
+        path = tmp_path / "r.json"
+        old = os.umask(0o022)
+        try:
+            io.write_atomic(path, "{}\n")
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == 0o644
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        io.write_atomic(path, "{}\n")
+        assert path.read_text() == "{}\n"
+        assert path.stat().st_mode & 0o777 == 0o640
+
+
+class TestCliOutputCollisions:
+    """An output path naming another output or an input of the same command
+    exits 2, naming both flags, before anything is written."""
+
+    def assert_rejected(self, argv, capsys, flag, other):
+        assert main(argv) == 2
+        assert f"names the same file as {other}" in capsys.readouterr().err.split(flag, 1)[1]
+
+    @pytest.mark.parametrize(
+        "flag, other",
+        [("--out-gt", "--out-detections"), ("--out-tracks", "--out-detections"),
+         ("--out-tracks", "--out-gt"), ("--out-detections", "--config")],
+    )
+    def test_simulate(self, tmp_path, capsys, flag, other):
+        cfg = write(tmp_path / "cfg.json", {"frames": 4})
+        paths = {"--config": cfg, "--out-detections": str(tmp_path / "d.json"),
+                 "--out-gt": str(tmp_path / "g.json"), "--out-tracks": str(tmp_path / "t.json")}
+        paths[flag] = str(tmp_path / "sub" / ".." / Path(paths[other]).name)
+        (tmp_path / "sub").mkdir()
+        argv = ["simulate", *(arg for item in paths.items() for arg in item)]
+        self.assert_rejected(argv, capsys, flag, other)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sub"]
+        assert json.loads(Path(cfg).read_text()) == {"frames": 4}
+
+    @pytest.mark.parametrize("other", ["--gt", "--pred"])
+    @pytest.mark.parametrize(
+        "command, corpus", [("eval-image", "image"), ("eval-video", "video"), ("count", "image")]
+    )
+    def test_report_names_an_input(self, tmp_path, capsys, command, corpus, other):
+        paths = {}
+        for flag, part in (("--gt", "gt"), ("--pred", "pred")):
+            paths[flag] = tmp_path / f"{part}.json"
+            paths[flag].write_bytes((DATA / f"{corpus}_corpus_{part}.json").read_bytes())
+        link = tmp_path / "link.json"
+        link.symlink_to(paths[other])
+        argv = [command, "--gt", str(paths["--gt"]), "--pred", str(paths["--pred"]),
+                "--report", str(link)]
+        self.assert_rejected(argv, capsys, "--report", other)
+        assert paths[other].read_bytes() == (DATA / f"{corpus}_corpus_{other[2:]}.json").read_bytes()
+
+    @pytest.mark.parametrize("other", ["--detections", "--config", "--tracks"])
+    def test_track_out_names_an_input(self, tmp_path, capsys, other):
+        inputs = {"--detections": "golden_sim_detections", "--config": "golden_track_config",
+                  "--tracks": "golden_sim_tracks"}
+        paths = {}
+        for flag, name in inputs.items():
+            paths[flag] = tmp_path / f"{name}.json"
+            paths[flag].write_bytes((DATA / f"{name}.json").read_bytes())
+        argv = ["track", "--propagator", "tracks",
+                *(arg for flag, path in paths.items() for arg in (flag, str(path))),
+                "--out", str(paths[other])]
+        self.assert_rejected(argv, capsys, "--out", other)
+        assert paths[other].read_bytes() == (DATA / f"{inputs[other]}.json").read_bytes()
 
 
 class TestCliMixedMedia:
@@ -1090,6 +1164,19 @@ class TestGoldenReports:
                      "--config", str(DATA / "golden_track_config.json"), "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / "golden_track_hold_masklets.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "golden",
+        ["golden_track_masklets", "golden_track_config_masklets", "golden_track_hold_masklets"],
+    )
+    def test_track_output_loads_as_reference_tracks(self, tmp_path, golden):
+        # track --out writes these files byte for byte (the tests above read
+        # simulate's golden_sim_tracks); their masklets start on later frames
+        # and some hold null frames, so each first_frame check is exercised
+        out = tmp_path / "masklets.json"
+        assert main(["track", "--detections", str(DATA / "golden_sim_detections.json"),
+                     "--propagator", "tracks", "--tracks", str(DATA / f"{golden}.json"),
+                     "--out", str(out)]) == 0
+
     def test_video_gold_files_are_the_corpus(self):
         gt_doc, pred_doc = build_video_corpus()
         assert json.loads((DATA / "video_corpus_gt.json").read_text()) == gt_doc
@@ -1280,6 +1367,23 @@ class TestLoadersRejectCoercion:
     def test_masklet_id_not_integer(self, tmp_path, capsys):
         code = self.track(tmp_path, masklets=[{"id": "abc", "frames": {}}])
         self.assert_rejected(code, capsys, "masklet id must be a JSON integer, got 'abc'")
+
+    @pytest.mark.parametrize("first", ["x", True, None, -1, 1, 2])
+    def test_first_frame_not_the_smallest_frame_key(self, tmp_path, capsys, first):
+        # the null frame 0 counts, so 1, the first shown frame, is wrong too
+        masklet = {"id": 0, "first_frame": first, "frames": {"0": None, "1": self.FULL}}
+        code = self.track(tmp_path, masklets=[masklet])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "validation error: masklets[0]: first_frame must be 0, the smallest frame key, "
+            f"got {first!r}\n")
+
+    @pytest.mark.parametrize(
+        "first, frames", [(0, {"0": None, "1": FULL}), (1, {"1": FULL}), (0, {})],
+        ids=["null-frame-counts", "later-frame", "no-frames"],
+    )
+    def test_first_frame_accepted(self, tmp_path, first, frames):
+        assert self.track(tmp_path, masklets=[{"id": 0, "first_frame": first, "frames": frames}]) == 0
 
     def test_annotation_not_a_list(self, tmp_path, capsys):
         code = self.eval_image(

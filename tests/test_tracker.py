@@ -94,10 +94,7 @@ class TestLifecycles:
         for t in (5, 6, 7):
             events[t] = [det(obj), det(spur)]
         result = self.run_stream(stream(40, events))
-        assert set(result.masklets) == {0}
-        for out in result.outputs:
-            assert set(out.masks) == {0}
-            assert out.masks[0] == obj
+        assert result.masklets == {0: dict.fromkeys(range(40), obj)}
 
     def test_spec_removal_trace(self):
         # spawned at 5, matched 5-7, unmatched afterwards: removed exactly at
@@ -144,8 +141,7 @@ class TestLifecycles:
         for t in range(9, 31):
             events[t] = [det(obj), det(shifted)]
         result = self.run_stream(stream(40, events))
-        emitted_ids = {mid for out in result.outputs for mid in out.masks}
-        assert emitted_ids == {0}
+        assert set(result.masklets) == {0}
 
     def test_suppression_zeroes_and_recovers(self):
         obj = r(0, 0, 4, 4)
@@ -156,11 +152,10 @@ class TestLifecycles:
             events[t] = [det(obj)]
         result = self.run_stream(stream(70, events))
         assert set(result.masklets) == {0}
-        frames = result.masklets[0].frames
+        frames = result.masklets[0]
         assert frames[39] == obj
         assert frames[40] is None  # lifetime score dips to -1 exactly here
         assert frames[41] == obj  # recovered with the same id
-        assert result.masklets[0].id == 0
 
     def test_ids_never_reused(self):
         obj = r(0, 0, 4, 4)
@@ -201,7 +196,7 @@ class TestReprompt:
             self.fixed_propagator(prop_mask),
             TrackerConfig(),
         )
-        frames = result.masklets[0].frames
+        frames = result.masklets[0]
         assert frames[16] == det_mask  # periodic frame: replaced
         assert frames[32] == det_mask
         assert frames[15] == prop_mask
@@ -215,13 +210,13 @@ class TestReprompt:
             self.fixed_propagator(prop_mask, conf=0.9),
             TrackerConfig(),
         )
-        assert low_det.masklets[0].frames[16] == prop_mask
+        assert low_det.masklets[0][16] == prop_mask
         low_prop = run(
             self.make_events(18, det_mask, score=0.9),
             self.fixed_propagator(prop_mask, conf=0.8),
             TrackerConfig(),
         )
-        assert low_prop.masklets[0].frames[16] == prop_mask
+        assert low_prop.masklets[0][16] == prop_mask
 
     def test_iou_boundary_inclusive(self):
         prop_mask = r(0, 0, 10, 2)  # 20 px
@@ -231,7 +226,7 @@ class TestReprompt:
             self.fixed_propagator(prop_mask),
             TrackerConfig(),
         )
-        assert result.masklets[0].frames[16] == exact
+        assert result.masklets[0][16] == exact
 
     def test_iou_below_bound_kept(self):
         prop_mask = r(0, 0, 10, 2)  # 20px
@@ -241,7 +236,7 @@ class TestReprompt:
             self.fixed_propagator(prop_mask),
             TrackerConfig(recondition_bbox_iou=0.0),  # isolate re-prompting
         )
-        assert result.masklets[0].frames[16] == prop_mask
+        assert result.masklets[0][16] == prop_mask
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_equal_ious_take_the_first_detection(self, first):
@@ -255,7 +250,7 @@ class TestReprompt:
             self.fixed_propagator(prop_mask),
             TrackerConfig(recondition_bbox_iou=0.0),  # isolate re-prompting
         )
-        assert result.masklets[0].frames[16] == order[0]
+        assert result.masklets[0][16] == order[0]
 
 
 class TestRecondition:
@@ -271,7 +266,7 @@ class TestRecondition:
             propagate,
             TrackerConfig(),
         )
-        frames = result.masklets[0].frames
+        frames = result.masklets[0]
         assert frames[1] == tight  # reconditioned every frame after spawn
         assert frames[17] == tight
 
@@ -287,7 +282,7 @@ class TestRecondition:
             propagate,
             TrackerConfig(),
         )
-        assert result.masklets[0].frames[1] == prop_mask
+        assert result.masklets[0][1] == prop_mask
 
     def test_needs_a_matched_detection(self):
         prop_mask = r(0, 0, 4, 4)
@@ -303,15 +298,15 @@ class TestRecondition:
             for t in range(18)
         ]
         result = run(events, propagate, TrackerConfig())
-        assert result.masklets[0].frames[5] == prop_mask
+        assert result.masklets[0][5] == prop_mask
 
 
 class TestDeterminismAndScenario:
     def serialize(self, result):
-        return [
-            (out.frame, sorted((mid, None if m is None else m.counts) for mid, m in out.masks.items()))
-            for out in result.outputs
-        ]
+        return {
+            mid: {t: None if m is None else m.counts for t, m in frames.items()}
+            for mid, frames in result.masklets.items()
+        }
 
     def test_bit_identical_reruns(self):
         cfg = ScenarioConfig(objects=3, frames=40, fp_rate=0.5, miss_prob=0.2, jitter_px=1, seed=11)
@@ -334,7 +329,7 @@ class TestDeterminismAndScenario:
         result = run(scenario.detections, scenario.propagator, TrackerConfig())
         assert set(result.masklets) == {0}
         gt = scenario.gt_masklets[0]
-        frames = result.masklets[0].frames
+        frames = result.masklets[0]
         for t in range(36, 60):
             assert frames[t] == gt.frames[t]
 
@@ -373,7 +368,7 @@ class TestDeterminismAndScenario:
         for mid, seq in sequences.items():
             on_object = any(volume_iou(seq, gt) > 0.5 for gt in scenario.gt_masklets)
             if not on_object:
-                assert result.masklets[mid].t_first >= cfg.frames - window
+                assert min(result.masklets[mid]) >= cfg.frames - window
 
 
 class TestBoundedState:
@@ -428,7 +423,7 @@ class TestBoundedState:
                         confirmation_window=window,
                         confirmation_threshold=threshold,
                     ),
-                ).outputs
+                ).masklets
                 for seed, window, threshold in self.CONFIGS
             ]
 
