@@ -84,7 +84,9 @@ def _gate(args) -> float:
 
 
 def _add_report_args(p: argparse.ArgumentParser):
-    p.add_argument("--report", required=True, help="output report path (.json or .csv)")
+    p.add_argument(
+        "--report", type=_non_empty, required=True, help="output report path (.json or .csv)"
+    )
     p.add_argument("--gate", type=_fraction, help="confidence gate (strict >), default 0.5")
     p.add_argument("--threads", type=_int_at_least(1), default=1, help="accepted; has no effect")
     p.add_argument("--annotation-index", type=_int_at_least(0), help="default 0")
@@ -98,8 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval-image", help="image metrics (cgF1, pmF1, IL_MCC)")
-    p.add_argument("--gt", required=True, help="dataset file")
-    p.add_argument("--pred", help="prediction file")
+    p.add_argument("--gt", type=_non_empty, required=True, help="dataset file")
+    p.add_argument("--pred", type=_non_empty, help="prediction file")
     _add_report_args(p)
     p.add_argument("--oracle", action="store_true", help="score against the best annotation")
     mode = p.add_mutually_exclusive_group()
@@ -120,8 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_at_least(0), help="default 0; --random-pair only")
 
     p = sub.add_parser("eval-video", help="video metrics (cgF1, VL_MCC, pHOTA)")
-    p.add_argument("--gt", required=True)
-    p.add_argument("--pred", required=True)
+    p.add_argument("--gt", type=_non_empty, required=True)
+    p.add_argument("--pred", type=_non_empty, required=True)
     _add_report_args(p)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--micro", dest="mode", action="store_const", const="micro")
@@ -129,24 +131,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(mode="macro")
 
     p = sub.add_parser("track", help="run the detector-tracker fusion over a detection stream")
-    p.add_argument("--detections", required=True, help="detection stream file")
-    p.add_argument("--config", help="tracker config file (JSON)")
-    p.add_argument("--out", required=True, help="output masklet file")
+    p.add_argument("--detections", type=_non_empty, required=True, help="detection stream file")
+    p.add_argument("--config", type=_non_empty, help="tracker config file (JSON)")
+    p.add_argument("--out", type=_non_empty, required=True, help="output masklet file")
     p.add_argument(
         "--propagator",
         choices=("hold", "tracks"),
         default="hold",
         help="hold: repeat last mask; tracks: follow reference tracks from --tracks",
     )
-    p.add_argument("--tracks", help="reference masklet file for --propagator tracks")
+    p.add_argument(
+        "--tracks", type=_non_empty, help="reference masklet file for --propagator tracks"
+    )
 
     p = sub.add_parser("simulate", help="generate a synthetic scenario")
-    p.add_argument("--config", help="scenario config file (JSON)")
+    p.add_argument("--config", type=_non_empty, help="scenario config file (JSON)")
     p.add_argument("--seed", type=_int_at_least(0), help="override the config seed")
-    p.add_argument("--out-detections", required=True)
-    p.add_argument("--out-gt", help="also write the ground-truth dataset file")
+    p.add_argument("--out-detections", type=_non_empty, required=True)
+    p.add_argument("--out-gt", type=_non_empty, help="also write the ground-truth dataset file")
     p.add_argument(
         "--out-tracks",
+        type=_non_empty,
         help="also write the ground-truth masklets as reference tracks "
         "for 'track --propagator tracks'",
     )
@@ -154,8 +159,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phrase", type=_non_empty, default="object")
 
     p = sub.add_parser("count", help="instance counting with IoM NMS post-processing")
-    p.add_argument("--gt", required=True)
-    p.add_argument("--pred", required=True)
+    p.add_argument("--gt", type=_non_empty, required=True)
+    p.add_argument("--pred", type=_non_empty, required=True)
     _add_report_args(p)
     p.add_argument("--iom", type=_fraction, default=0.5, help="NMS IoM threshold")
     return parser

@@ -66,9 +66,17 @@ class _Collector:
 
 
 def _load_json(path) -> Any:
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            key = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise ValidationError([f"{path}: duplicate key {json.dumps(key)} in a JSON object"])
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            return json.load(f, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ValidationError([f"{path}: cannot read file ({exc})"])
     except json.JSONDecodeError as exc:
@@ -651,14 +659,15 @@ def dumps_json(doc: Any) -> str:
 
 def check_writable(*paths):
     """Reject, naming each, the paths (``None`` skipped) that are a directory
-    or lie in a directory that does not exist, before anything is written."""
+    or, once symlinks are resolved, lie in a directory that does not exist,
+    before anything is written."""
     errors = []
     for path in paths:
         if path is None:
             continue
         if os.path.isdir(path):
             errors.append(f"{path}: cannot write file (it is a directory)")
-        elif not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        elif not os.path.isdir(os.path.dirname(os.path.realpath(path))):
             errors.append(f"{path}: cannot write file (no such directory)")
     if errors:
         raise ValidationError(errors)
@@ -677,11 +686,12 @@ def _file_mode(path) -> int:
 
 def write_atomic(path, text: str):
     """Write via a sibling temp file and rename, so readers never see a
-    partial report. The file gets the mode ``open(path, "w")`` would leave,
-    not the temp file's 0o600."""
+    partial report. Like ``open(path, "w")``, it writes through a symlink to
+    the link's target, and the file gets the mode that call would leave, not
+    the temp file's 0o600."""
     check_writable(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    path = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)

@@ -14,9 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .masks import FrameMaskSeq, RleMask, bbox_iou, bbox_of, mask_iou
+# mask_iou is unused here but stays importable: perfbench/test_perfbench.py
+# checks that the tracer patches it in this module
+from .masks import FrameMaskSeq, RleMask, bbox_iou, bbox_of, mask_iou  # noqa: F401
 from .matching import Detection, gate, iou_matrix, optimal_match
 
 Propagator = Callable[["Masklet", int], tuple[RleMask, float]]
@@ -74,15 +76,6 @@ def _indicator(ious: Iterable[float], threshold: float) -> int:
     return 1 if any(iou > threshold for iou in ious) else -1
 
 
-def delta(masklet: Masklet, detections: Sequence[Detection], iou_threshold: float) -> int:
-    """Frame-wise match indicator on the masklet's latest mask: +1 iff some
-    detection overlaps it with IoU strictly above the threshold, else -1."""
-    if not masklet.masks:
-        raise ValueError("masklet has no mask prediction yet")
-    mask = masklet.masks[max(masklet.masks)]
-    return _indicator((mask_iou(d.mask, mask) for d in detections), iou_threshold)
-
-
 @dataclass(frozen=True)
 class FrameOutput:
     """Masks shown for one (delayed) frame; None means a suppressed track."""
@@ -110,9 +103,14 @@ class TrackResult:
 
 
 class Tracker:
-    """Single-video tracker state; one instance is single-threaded per video."""
+    """Single-video tracker state; one instance is single-threaded per video.
 
-    def __init__(self, config: TrackerConfig = TrackerConfig()):
+    ``propagator(masklet, frame)`` predicts an active masklet's (mask,
+    confidence) on ``frame`` from its state up to ``frame - 1``.
+    """
+
+    def __init__(self, propagator: Propagator, config: TrackerConfig = TrackerConfig()):
+        self.propagator = propagator
         self.config = config
         self.clock = 0  # next frame index to consume
         self.next_emit = 0  # next frame index to show
@@ -122,34 +120,30 @@ class Tracker:
 
     # -- per-frame protocol -------------------------------------------------
 
-    def step(
-        self,
-        propagated: Mapping[int, tuple[RleMask, float]],
-        detections: Sequence[Detection],
-    ) -> Optional[FrameOutput]:
-        """Consume one frame: match, spawn, update lifecycles, maybe emit.
+    def step(self, detections: Sequence[Detection]) -> Optional[FrameOutput]:
+        """Consume one frame: propagate, gate, match, spawn, update
+        lifecycles, maybe emit.
 
-        ``propagated`` must supply (mask, confidence) for exactly the active
-        masklets. Returns the output for frame ``clock - confirmation_window``
-        once that frame's confirmation window has closed.
+        Every active masklet is propagated in id order, and only detections
+        scoring strictly above ``detection_gate`` can match or spawn. Grids
+        are checked before any state changes. Returns the output for frame
+        ``clock - confirmation_window`` once that frame's confirmation window
+        has closed.
         """
         tau = self.clock
         cfg = self.config
-        if set(propagated) != set(self.masklets):
-            raise ValueError(
-                f"propagated ids {sorted(propagated)} do not cover active ids "
-                f"{sorted(self.masklets)}"
-            )
-        self._check_grid([d.mask for d in detections] + [m for m, _ in propagated.values()])
-
-        for mid, m in self.masklets.items():
-            m.masks[tau], m.scores[tau] = propagated[mid]
+        ids = sorted(self.masklets)
+        propagated = [self.propagator(self.masklets[mid], tau) for mid in ids]
+        detections = gate(detections, cfg.detection_gate)
+        det_masks = [det.mask for det in detections]
+        self._check_grid(det_masks + [mask for mask, _ in propagated])
+        for mid, (mask, score) in zip(ids, propagated):
+            m = self.masklets[mid]
+            m.masks[tau], m.scores[tau] = mask, score
 
         # (1) associate propagated masks with detections; the IoU matrix, one
         # row per masklet in id order, is computed once and reused below
-        ids = sorted(self.masklets)
-        det_masks = [det.mask for det in detections]
-        matrix = iou_matrix([self.masklets[mid].masks[tau] for mid in ids], det_masks)
+        matrix = iou_matrix([mask for mask, _ in propagated], det_masks)
         matched: dict[int, int] = {}  # masklet id -> detection index
         for r, c, iou in optimal_match(matrix).pairs:
             if iou > cfg.match_iou:
@@ -285,29 +279,20 @@ def run(
     propagator: Propagator,
     config: TrackerConfig = TrackerConfig(),
 ) -> TrackResult:
-    """Track a whole video deterministically.
+    """Track a whole video deterministically, flushing the final delayed
+    frames at end of stream."""
+    tracker = Tracker(propagator, config)
 
-    Detections are gated (score strictly above ``config.detection_gate``)
-    before they can match or spawn; the final delayed frames are flushed at
-    end of stream.
-    """
-    tracker = Tracker(config)
+    def shown() -> Iterator[FrameOutput]:
+        for dets in frame_detections:
+            out = tracker.step(dets)
+            if out is not None:
+                yield out
+        yield from tracker.flush()
+
     masklets: dict[int, dict[int, Optional[RleMask]]] = {}
-
-    def show(out: FrameOutput):
+    for out in shown():
         for mid, mask in out.masks.items():
             masklets.setdefault(mid, {})[out.frame] = mask
-
-    for dets in frame_detections:
-        propagated = {
-            mid: propagator(tracker.masklets[mid], tracker.clock)
-            for mid in sorted(tracker.masklets)
-        }
-        out = tracker.step(propagated, gate(dets, config.detection_gate))
-        if out is not None:
-            show(out)
-    for out in tracker.flush():
-        show(out)
-
-    grid = next(((d.mask.height, d.mask.width) for ds in frame_detections for d in ds), (1, 1))
-    return TrackResult(height=grid[0], width=grid[1], masklets=masklets)
+    height, width = tracker._grid or (1, 1)
+    return TrackResult(height=height, width=width, masklets=masklets)

@@ -188,14 +188,10 @@ def test_criterion_5_tracker_scenarios():
         events = {t: [det(obj)] for t in range(2, 40)}
         for t in range(9, 31):
             events[t] = [det(obj), det(shifted)]
-        tracker = Tracker(TrackerConfig())
+        tracker = Tracker(hold_propagator, TrackerConfig())
         removed_at = None
         for t in range(40):
-            propagated = {
-                mid: hold_propagator(tracker.masklets[mid], t)
-                for mid in tracker.masklets
-            }
-            tracker.step(propagated, events.get(t, []))
+            tracker.step(events.get(t, []))
             if removed_at is None and tracker._next_id > 1 and 1 not in tracker.masklets:
                 removed_at = t
         assert removed_at == 16  # overlap frames 9..16

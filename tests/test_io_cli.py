@@ -608,6 +608,36 @@ class TestCliRejectsIgnoredOrOutOfRangeFlags:
         assert f"argument {flag}: must be a non-empty string" in capsys.readouterr().err
         assert not out.exists()
 
+    PATH_FLAGS = {
+        "eval-image": ("--gt", "--pred", "--report"),
+        "eval-video": ("--gt", "--pred", "--report"),
+        "count": ("--gt", "--pred", "--report"),
+        "track": ("--detections", "--config", "--tracks", "--out"),
+        "simulate": ("--config", "--out-detections", "--out-gt", "--out-tracks"),
+    }
+
+    @pytest.mark.parametrize(
+        "command, flag", [(c, f) for c, flags in PATH_FLAGS.items() for f in flags]
+    )
+    def test_empty_path_flag(self, tmp_path, capsys, command, flag):
+        # "" would pass the output-directory check (its directory is the
+        # working directory) or read as an absent optional input
+        inputs = {"--gt": str(DATA / "image_corpus_gt.json"),
+                  "--pred": str(DATA / "image_corpus_pred.json"),
+                  "--detections": str(DATA / "golden_sim_detections.json"),
+                  "--tracks": str(DATA / "golden_sim_tracks.json"),
+                  "--config": str(DATA / ("golden_track_config.json" if command == "track"
+                                          else "golden_sim_config.json"))}
+        paths = {f: inputs.get(f, str(tmp_path / f"{f[2:]}.json"))
+                 for f in self.PATH_FLAGS[command]}
+        paths[flag] = ""
+        extra = ["--propagator", "tracks"] if command == "track" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, *extra, *(arg for item in paths.items() for arg in item)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be a non-empty string" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_simulate_seed(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--seed", "-1", "--out-detections", str(tmp_path / "d.json")])
@@ -768,6 +798,41 @@ class TestWrittenFileMode:
         io.write_atomic(path, "{}\n")
         assert path.read_text() == "{}\n"
         assert path.stat().st_mode & 0o777 == 0o640
+
+
+class TestSymlinkedOutput:
+    """Like ``open(path, "w")``, a write to a symlink goes to the link's
+    target, and the link stays a link."""
+
+    def test_link_target_gets_the_bytes(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("{}\n")
+        target.chmod(0o640)
+        link.symlink_to(target.name)
+        code = main(["eval-image", "--gt", str(DATA / "image_corpus_gt.json"),
+                     "--pred", str(DATA / "image_corpus_pred.json"), "--report", str(link)])
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_bytes() == (DATA / "golden_image_report.json").read_bytes()
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+    def test_dangling_link_creates_its_target(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        target, link = tmp_path / "sub" / "new.json", tmp_path / "link.json"
+        link.symlink_to(target)
+        io.write_atomic(link, "{}\n")
+        assert link.is_symlink()
+        assert target.read_text() == "{}\n"
+        assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["new.json"]
+
+    def test_dangling_link_into_a_missing_directory(self, tmp_path, capsys):
+        link = tmp_path / "link.json"
+        link.symlink_to(tmp_path / "missing" / "new.json")
+        code = main(["eval-image", "--gt", str(DATA / "image_corpus_gt.json"),
+                     "--pred", str(DATA / "image_corpus_pred.json"), "--report", str(link)])
+        assert code == 2
+        assert f"{link}: cannot write file (no such directory)" in capsys.readouterr().err
 
 
 class TestCliOutputCollisions:
@@ -1466,6 +1531,43 @@ class TestLoadersRejectCoercion:
         code = self.eval_video(tmp_path, pred_instance=instance)
         self.assert_rejected(code, capsys, "frame_scores: frame key '01' is not a canonical integer")
 
+    @pytest.mark.parametrize(
+        "command, corpus, part, old, new, key",
+        [
+            ("eval-image", "image", "pred", '"score": 0.8794', '"score": 0.8794, "score": 0.0',
+             "score"),
+            ("eval-video", "video", "pred", '{"frames": {"0": ',
+             '{"frames": {"0": {"counts": [768]}, "0": ', "0"),
+            ("eval-image", "image", "gt", "{", '{"schema_version": 1, ', "schema_version"),
+        ],
+        ids=["instance", "frame-map", "top-level"],
+    )
+    def test_duplicate_key(self, tmp_path, capsys, command, corpus, part, old, new, key):
+        # json.load would keep the last value; an instance's score of 0.0
+        # would then silently lower cgF1
+        paths = {}
+        for name in ("gt", "pred"):
+            text = (DATA / f"{corpus}_corpus_{name}.json").read_text(encoding="utf-8")
+            if name == part:
+                assert old in text
+                text = text.replace(old, new, 1)
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(text, encoding="utf-8")
+        report = tmp_path / "r.json"
+        code = main([command, "--gt", str(paths["gt"]), "--pred", str(paths["pred"]),
+                     "--report", str(report)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f'validation error: {paths[part]}: duplicate key "{key}" in a JSON object\n')
+        assert not report.exists()
+
+    def test_duplicate_key_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"frames": 4, "frames": 5}', encoding="utf-8")
+        out = tmp_path / "d.json"
+        code = main(["simulate", "--config", str(cfg), "--out-detections", str(out)])
+        self.assert_rejected(code, capsys, f'{cfg}: duplicate key "frames" in a JSON object')
+        assert not out.exists()
 
 _TEXT = st.text(st.characters(blacklist_categories=())) | st.sampled_from(
     ["", "é", "naïve 🙂", "\x00\x1f\x7f", '"quoted"', "back\\slash", "\ud800", "\udfff x", "\u2028"]

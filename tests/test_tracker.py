@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from phraseseg import Detection, Masklet, Tracker, TrackerConfig, delta, run
+from phraseseg import Detection, Tracker, TrackerConfig, run
 from phraseseg.tracker import hold_propagator
 from phraseseg import gen_scenario, ScenarioConfig
 from phraseseg import io_schemas as io
@@ -27,56 +27,58 @@ def stream(length, events):
 
 
 class TestDelta:
-    def make(self, mask, frame=3):
-        m = Masklet(id=0, t_first=frame)
-        m.masks[frame] = mask
-        m.scores[frame] = 1.0
-        return m
+    """The stage (3) match indicator δ as ``step`` applies it: each frame
+    adds +1 to a masklet's lifetime sum iff some detection overlaps its
+    propagated mask with IoU strictly above ``match_iou``, else -1."""
+
+    def lifetime_after(self, mask, detections):
+        tracker = Tracker(hold_propagator)
+        tracker.step([det(mask, 0.9)])  # spawns masklet 0 on its own detection: +1
+        tracker.step(detections)
+        return tracker.masklets[0].lifetime_mds
 
     def test_identical_detection(self):
         mask = r(0, 0, 3, 3)
-        assert delta(self.make(mask), [det(mask, 0.9)], 0.5) == 1
+        assert self.lifetime_after(mask, [det(mask, 0.9)]) == 2
 
     def test_no_detections(self):
-        assert delta(self.make(r(0, 0, 3, 3)), [], 0.5) == -1
+        assert self.lifetime_after(r(0, 0, 3, 3), []) == 0
 
     def test_boundary_iou_is_unmatched(self):
         # IoU exactly 0.5 (2x2 inside 2x4) fails the strict > comparison
         mask = r(0, 0, 2, 2)
         covering = r(0, 0, 2, 4)
-        assert delta(self.make(mask), [det(covering, 0.9)], 0.5) == -1
+        assert self.lifetime_after(mask, [det(covering, 0.9)]) == 0
 
     def test_any_detection_suffices(self):
         mask = r(0, 0, 3, 3)
         far = r(10, 10, 3, 3)
-        assert delta(self.make(mask), [det(far), det(mask)], 0.5) == 1
+        assert self.lifetime_after(mask, [det(far), det(mask)]) == 2
 
 
 class TestStepContract:
-    def test_propagated_must_cover_active(self):
-        tracker = Tracker()
-        tracker.step({}, [det(r(0, 0, 2, 2))])  # spawns masklet 0
-        with pytest.raises(ValueError, match="propagated"):
-            tracker.step({}, [])
-
     def test_grid_mismatch_rejected(self):
-        tracker = Tracker()
-        tracker.step({}, [det(r(0, 0, 2, 2))])
         bad = mask_from_pixels(G, G + 1, [(0, 0)])
+        tracker = Tracker(lambda masklet, frame: (bad, 1.0))
+        tracker.step([det(r(0, 0, 2, 2))])
         with pytest.raises(ValueError, match="grid"):
-            tracker.step({0: (bad, 1.0)}, [])
+            tracker.step([])
+        assert tracker.clock == 1 and 1 not in tracker.masklets[0].masks
+
+    def test_step_gates_detections(self):
+        # a detection at exactly the 0.5 gate neither spawns nor matches
+        mask = r(0, 0, 3, 3)
+        tracker = Tracker(hold_propagator)
+        tracker.step([det(mask, 0.5)])
+        assert tracker.masklets == {}
+        tracker.step([det(mask, 0.9)])
+        tracker.step([det(mask, 0.5)])
+        assert tracker.masklets[0].lifetime_mds == 0
 
     def test_delay_contract(self):
         obj = r(0, 0, 4, 4)
-        tracker = Tracker()
-        outputs = []
-        for t in range(20):
-            propagated = {
-                mid: hold_propagator(tracker.masklets[mid], t) if t else (obj, 1.0)
-                for mid in tracker.masklets
-            }
-            out = tracker.step(propagated, [det(obj)])
-            outputs.append(out)
+        tracker = Tracker(hold_propagator)
+        outputs = [tracker.step([det(obj)]) for _ in range(20)]
         assert all(o is None for o in outputs[:15])
         assert outputs[15].frame == 0
         assert outputs[19].frame == 4
@@ -101,13 +103,9 @@ class TestLifecycles:
         # the close of window [0, 15] with a window score of -5
         spur = r(12, 12, 4, 4)
         events = {t: [det(spur)] for t in (5, 6, 7)}
-        tracker = Tracker()
+        tracker = Tracker(hold_propagator)
         for t in range(16):
-            propagated = {
-                mid: hold_propagator(tracker.masklets[mid], t)
-                for mid in tracker.masklets
-            }
-            tracker.step(propagated, [d for d in events.get(t, [])])
+            tracker.step(events.get(t, []))
             if t == 14:
                 assert 0 in tracker.masklets
                 assert tracker.masklets[0].lifetime_mds == 3 - 7
@@ -120,13 +118,9 @@ class TestLifecycles:
         for t in range(9, 31):
             events[t] = [det(obj), det(shifted)]
         removed_at = None
-        tracker = Tracker()
+        tracker = Tracker(hold_propagator)
         for t in range(40):
-            propagated = {
-                mid: hold_propagator(tracker.masklets[mid], t)
-                for mid in tracker.masklets
-            }
-            tracker.step(propagated, events.get(t, []))
+            tracker.step(events.get(t, []))
             if removed_at is None and tracker._next_id > 1 and 1 not in tracker.masklets:
                 removed_at = t
         assert 0 in tracker.masklets and 1 not in tracker.masklets
@@ -165,14 +159,10 @@ class TestLifecycles:
             events[t] = [det(obj), det(spur)]
         for t in (30, 31, 32):
             events[t] = [det(obj), det(spur)]
-        tracker = Tracker()
+        tracker = Tracker(hold_propagator)
         seen = set()
         for t in range(60):
-            propagated = {
-                mid: hold_propagator(tracker.masklets[mid], t)
-                for mid in tracker.masklets
-            }
-            tracker.step(propagated, events[t])
+            tracker.step(events[t])
             seen |= set(tracker.masklets)
         assert seen == {0, 1, 2}
         assert set(tracker.masklets) == {0}
@@ -387,13 +377,12 @@ class TestBoundedState:
         cfg = TrackerConfig()
         bound = cfg.confirmation_window + 2
         obj = r(0, 0, 4, 4)
-        tracker = Tracker(cfg)
+        tracker = Tracker(hold_propagator, cfg)
         for t in range(10_000):
             if t == 1_000:
                 tracemalloc.start()
             dets = [det(obj, 0.9)] + ([det(extra, 0.9)] if t % period == 0 else [])
-            propagated = {mid: hold_propagator(m, t) for mid, m in tracker.masklets.items()}
-            tracker.step(propagated, dets)
+            tracker.step(dets)
             for m in tracker.masklets.values():
                 assert max(len(m.masks), len(m.scores)) <= bound
         grown, _ = tracemalloc.get_traced_memory()
