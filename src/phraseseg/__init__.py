@@ -10,7 +10,6 @@ from .masks import (
     bbox_of,
     mask_iom,
     mask_iou,
-    rle_decode,
     rle_encode,
     volume_iou,
 )
@@ -28,17 +27,13 @@ from .image_metrics import (
     il_counts,
     il_mcc,
     local_f1,
-    macro_pf1,
     oracle_select,
-    pm_f1,
     random_pair,
 )
 from .video_metrics import (
     HOTA_ALPHAS,
     HotaResult,
-    RemappedTrackSet,
     hota,
-    match_masklets,
     phota_remap,
     video_cg_f1,
 )
@@ -61,7 +56,6 @@ __all__ = [
     "Matching",
     "MetricReport",
     "PromptEvent",
-    "RemappedTrackSet",
     "RleMask",
     "ScenarioConfig",
     "Tracker",
@@ -82,16 +76,12 @@ __all__ = [
     "il_mcc",
     "iom_nms",
     "local_f1",
-    "macro_pf1",
     "mask_iom",
     "mask_iou",
-    "match_masklets",
     "optimal_match",
     "oracle_select",
     "phota_remap",
-    "pm_f1",
     "random_pair",
-    "rle_decode",
     "rle_encode",
     "run",
     "video_cg_f1",

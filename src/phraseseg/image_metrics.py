@@ -262,8 +262,15 @@ def _score_datapoint(
     return evals[_best(evals)]
 
 
-# (positive, predicted) of the presence cells TP, TN, FP, FN, in ILCounts order
-_PRESENCE_CELLS = ((True, True), (False, False), (False, True), (True, False))
+def _presence(outcomes: Iterable[AnnotationEval]) -> list[int]:
+    """Presence confusion counts [TP, TN, FP, FN], in ILCounts order: an
+    outcome is positive when its annotation has instances and predicted when
+    a prediction passed the gate."""
+    il = [0, 0, 0, 0]
+    for o in outcomes:
+        # agreeing cells TP, TN come first, each cell pair predicted first
+        il[2 * (o.positive != o.predicted) + (not o.predicted)] += 1
+    return il
 
 
 def _fold(
@@ -301,10 +308,7 @@ def _fold(
         micro_f1 = math.fsum(micro_per_tau) / n_taus
         macro_f1 = math.fsum(macro_per_tau) / n_taus
         loc = micro_f1 if mode == "micro" else macro_f1
-        il = [
-            sum(evals[e].positive == a and evals[e].predicted == b for e in row)
-            for a, b in _PRESENCE_CELLS
-        ]
+        il = _presence(evals[e] for e in row)
         mcc = _mcc(*il)
         trials.append((
             100.0 * loc * mcc, loc, micro_f1, macro_f1, mcc, il,
@@ -379,32 +383,6 @@ def cg_f1(
     return _report(dps, "image", gate_threshold, mode, oracle, annotation_index)
 
 
-def pm_f1(
-    dps: Sequence[DataPoint],
-    *,
-    gate_threshold: float = DEFAULT_GATE,
-    oracle: bool = False,
-    annotation_index: int = 0,
-) -> float:
-    """Positive micro F1, averaged over the IoU threshold grid."""
-    return cg_f1(
-        dps, gate_threshold=gate_threshold, oracle=oracle, annotation_index=annotation_index
-    ).micro_f1
-
-
-def macro_pf1(
-    dps: Sequence[DataPoint],
-    *,
-    gate_threshold: float = DEFAULT_GATE,
-    oracle: bool = False,
-    annotation_index: int = 0,
-) -> float:
-    """Positive macro F1: mean threshold-averaged local F1 over positives."""
-    return cg_f1(
-        dps, gate_threshold=gate_threshold, oracle=oracle, annotation_index=annotation_index
-    ).macro_f1
-
-
 def il_counts(
     dps: Sequence[DataPoint],
     *,
@@ -412,10 +390,10 @@ def il_counts(
     oracle: bool = False,
     annotation_index: int = 0,
 ) -> ILCounts:
-    """Image-level presence confusion counts; mask quality plays no role."""
-    outcomes = [_score_datapoint(dp, gate_threshold, oracle, annotation_index) for dp in dps]
-    return ILCounts(*(
-        sum(o.positive == a and o.predicted == b for o in outcomes) for a, b in _PRESENCE_CELLS
+    """Image-level presence confusion counts; mask quality plays no role.
+    Unlike :func:`cg_f1`, it needs no positive datapoint."""
+    return ILCounts(*_presence(
+        _score_datapoint(dp, gate_threshold, oracle, annotation_index) for dp in dps
     ))
 
 

@@ -79,7 +79,9 @@ def _load_json(path) -> Any:
             return json.load(f, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ValidationError([f"{path}: cannot read file ({exc})"])
-    except json.JSONDecodeError as exc:
+    # ValueError: malformed JSON, bytes that are not UTF-8, or an integer of
+    # more digits than int() converts; RecursionError: nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ValidationError([f"{path}: invalid JSON ({exc})"])
 
 
@@ -121,9 +123,15 @@ def _array(doc: dict, key: str, errs: _Collector) -> list:
 
 
 def _frame_index(key: str) -> Optional[int]:
-    """The frame that ``key`` names, if it is that frame's canonical spelling ``str(t)``."""
-    idx = int(key) if key.isascii() and key.isdigit() else None
-    return idx if idx is not None and str(idx) == key else None
+    """The frame that ``key`` names, if it is that frame's canonical spelling
+    ``str(t)``. A key of more digits than int() converts names no frame."""
+    if not (key.isascii() and key.isdigit()):
+        return None
+    try:
+        idx = int(key)
+    except ValueError:
+        return None
+    return idx if str(idx) == key else None
 
 
 def _frame_keyed(obj: dict, media: MediaInfo, where: str, errs: _Collector) -> dict[int, Any]:
@@ -688,19 +696,22 @@ def write_atomic(path, text: str):
     """Write via a sibling temp file and rename, so readers never see a
     partial report. Like ``open(path, "w")``, it writes through a symlink to
     the link's target, and the file gets the mode that call would leave, not
-    the temp file's 0o600."""
+    the temp file's 0o600. A write the system refuses raises
+    ``ValidationError`` and leaves no temp file."""
     check_writable(path)
-    path = os.path.realpath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-", suffix=".part")
+    real = os.path.realpath(path)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(real), prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
-        os.chmod(tmp, _file_mode(path))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        os.chmod(tmp, _file_mode(real))
+        os.replace(tmp, real)
+    except OSError as exc:
+        raise ValidationError([f"{path}: cannot write file ({exc})"]) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):  # a renamed temp file is gone
             os.unlink(tmp)
-        raise
 
 
 def report_csv(doc: Mapping[str, Any]) -> str:

@@ -76,7 +76,7 @@ class RleMask:
         return type(self), (self.height, self.width, self.counts)
 
     def decode(self) -> np.ndarray:
-        """A new dense boolean grid, shape ``(height, width)``, on each call."""
+        """Exact inverse of :func:`rle_encode`: a new writable boolean grid on each call."""
         import numpy as np
 
         values = np.zeros(len(self.counts), dtype=bool)
@@ -134,11 +134,6 @@ def rle_encode(grid) -> RleMask:
     if flat[0]:
         counts.insert(0, 0)
     return RleMask(arr.shape[0], arr.shape[1], tuple(counts))
-
-
-def rle_decode(mask: RleMask) -> np.ndarray:
-    """Exact inverse of :func:`rle_encode`; returns a writable boolean grid."""
-    return mask.decode()
 
 
 def _mismatch(a: RleMask | FrameMaskSeq, b: RleMask | FrameMaskSeq) -> ValueError:

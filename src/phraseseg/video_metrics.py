@@ -1,4 +1,4 @@
-"""Video metrics: masklet matching, video cgF1 and phrase-level HOTA.
+"""Video metrics: video cgF1 and phrase-level HOTA.
 
 Each (video, phrase) pair is a datapoint. Video cgF1 is scored by the image
 path: the IoU kernel reads a masklet's area as its volume, so predicted and
@@ -20,20 +20,13 @@ from typing import Sequence
 from .errors import UndefinedMetricError
 from .image_metrics import DataPoint, MetricReport, _report
 from .masks import FrameMaskSeq, RleMask, mask_iou
-from .matching import DEFAULT_GATE, IouMatrix, Matching, gate, iou_matrix, optimal_match, plain_sum
+from .matching import DEFAULT_GATE, IouMatrix, gate, iou_matrix, optimal_match, plain_sum
 
 # Localization threshold grid of the HOTA family (integer-derived, no drift).
 HOTA_ALPHAS: tuple[float, ...] = tuple((5 + 5 * k) / 100 for k in range(19))
 
 # Kept under this name because the benchmark's tracing targets it.
 volume_iou_matrix = iou_matrix
-
-
-def match_masklets(dp: DataPoint, gate_threshold: float = DEFAULT_GATE) -> Matching:
-    """Optimal assignment of gated predicted masklets to the ground truth of
-    annotation 0 on volume IoU. Pair indices refer to the gated prediction order."""
-    preds = [d.mask for d in gate(dp.predictions, gate_threshold)]
-    return optimal_match(iou_matrix(preds, dp.annotation_masks(0)))
 
 
 def video_cg_f1(
@@ -62,26 +55,18 @@ class RemappedSequence:
     pred_tracks: tuple[FrameMaskSeq, ...]
 
 
-@dataclass(frozen=True)
-class RemappedTrackSet:
-    sequences: tuple[RemappedSequence, ...]
-
-    def __len__(self):
-        return len(self.sequences)
-
-
 def phota_remap(
     dps: Sequence[DataPoint],
     gate_threshold: float = DEFAULT_GATE,
     annotation_index: int = 0,
-) -> RemappedTrackSet:
+) -> tuple[RemappedSequence, ...]:
     """Remap every (video, phrase) pair to its own synthetic video id.
 
     Masks are carried over bit-exactly; only identities change. Predicted
     masklets are gated before remapping, mirroring the evaluation gate.
     """
     ordered = sorted(dps, key=lambda dp: (dp.media_id, dp.phrase))  # stable: ties keep input order
-    return RemappedTrackSet(tuple(
+    return tuple(
         RemappedSequence(
             synthetic_id=synthetic_id,
             video_id=dp.media_id,
@@ -90,7 +75,7 @@ def phota_remap(
             pred_tracks=tuple(d.mask for d in gate(dp.predictions, gate_threshold)),
         )
         for synthetic_id, dp in enumerate(ordered)
-    ))
+    )
 
 
 @dataclass(frozen=True)
@@ -244,21 +229,22 @@ def _sequence_stats(seq: RemappedSequence) -> tuple[list[int], int, int, list[fl
     return tp, sum(gt_count), sum(pred_count), ass_sum
 
 
-def hota(track_set: RemappedTrackSet) -> HotaResult:
-    """HOTA with detection and association components over a remapped set.
+def hota(sequences: Sequence[RemappedSequence]) -> HotaResult:
+    """HOTA with detection and association components over the remapped
+    sequences of :func:`phota_remap`.
 
     Sequences are accumulated by summing counts; the association score is the
     TP-weighted mean of per-pair association accuracies. The headline values
     average the 19-point localization threshold grid.
     """
-    if not any(tr.area for s in track_set.sequences for tr in (*s.gt_tracks, *s.pred_tracks)):
+    if not any(tr.area for s in sequences for tr in (*s.gt_tracks, *s.pred_tracks)):
         raise UndefinedMetricError("HOTA is undefined without any ground truth or prediction")
 
     n_alpha = len(HOTA_ALPHAS)
     tp = [0] * n_alpha
     ass_sum = [0.0] * n_alpha
     n_gt = n_pred = 0  # detections: (track, frame) pairs with a non-empty mask
-    for seq in track_set.sequences:
+    for seq in sequences:
         seq_tp, seq_gt, seq_pred, seq_ass_sum = _sequence_stats(seq)
         tp = [a + b for a, b in zip(tp, seq_tp)]
         n_gt += seq_gt

@@ -321,7 +321,7 @@ def test_criterion_7_phota():
                 for _ in range(n_pred)
             ]
             remapped = phota_remap([_vdp(gts, preds)])
-            if all(tr.area == 0 for s in remapped.sequences for tr in (*s.gt_tracks, *s.pred_tracks)):
+            if all(tr.area == 0 for s in remapped for tr in (*s.gt_tracks, *s.pred_tracks)):
                 continue
             checked += 1
             got = hota(remapped)
@@ -336,7 +336,7 @@ def test_criterion_7_phota():
             expected = reference_hota(
                 [
                     ([as_sets(tr) for tr in s.gt_tracks], [as_sets(tr) for tr in s.pred_tracks])
-                    for s in remapped.sequences
+                    for s in remapped
                 ]
             )
             assert got.hota == pytest.approx(expected["HOTA"], abs=1e-9)

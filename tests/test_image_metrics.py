@@ -16,9 +16,7 @@ from phraseseg import (
     il_counts,
     il_mcc,
     local_f1,
-    macro_pf1,
     oracle_select,
-    pm_f1,
     random_pair,
 )
 from phraseseg.image_metrics import AnnotationEval, _fold, evaluate_annotation, human_oracle
@@ -104,20 +102,21 @@ class TestPmF1:
     def test_spec_pair(self):
         dp1 = datapoint([m((0, 0))], [det(m((0, 0)))], media="a")
         dp2 = datapoint([m((1, 1))], media="b")
-        assert pm_f1([dp1, dp2]) == pytest.approx(2 / 3)
-        assert macro_pf1([dp1, dp2]) == pytest.approx(0.5)
+        report = cg_f1([dp1, dp2])
+        assert report.micro_f1 == pytest.approx(2 / 3)
+        assert report.macro_f1 == pytest.approx(0.5)
 
     def test_perfect(self):
         dps = [datapoint([m((0, 0))], [det(m((0, 0)))], media=str(i)) for i in range(3)]
-        assert pm_f1(dps) == 1.0
+        assert cg_f1(dps).micro_f1 == 1.0
 
     def test_all_missed(self):
         dps = [datapoint([m((0, 0))], media=str(i)) for i in range(3)]
-        assert pm_f1(dps) == 0.0
+        assert cg_f1(dps).micro_f1 == 0.0
 
     def test_no_positives_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            pm_f1([datapoint([])])
+            cg_f1([datapoint([])])
 
     def test_order_invariance(self, rng):
         dps = []
@@ -143,9 +142,9 @@ class TestPmF1:
             datapoint([m((0, 0), (0, 1))], [det(m((0, 0)))], media="a"),
             datapoint([m((2, 2))], media="b"),
         ]
-        before = pm_f1(base)
+        before = cg_f1(base).micro_f1
         extra = datapoint([m((1, 1))], [det(m((1, 1)))], media="c")
-        assert pm_f1(base + [extra]) >= before
+        assert cg_f1(base + [extra]).micro_f1 >= before
 
 
 class TestILCounts:
@@ -172,6 +171,19 @@ class TestILCounts:
             preds = [det(FULL, float(rng.random()))] if rng.random() < 0.7 else []
             dps.append(datapoint(gt, preds, media=str(i)))
         assert il_counts(dps).total == len(dps)
+
+    def test_one_datapoint_per_cell(self):
+        # TP, TN, FP, FN in that order; the report folds the same counts
+        dps = [
+            datapoint([m((0, 0))], [det(m((0, 0)))], media="tp"),
+            datapoint([], media="tn"),
+            datapoint([], [det(m((1, 1)))], media="fp"),
+            datapoint([m((2, 2))], media="fn"),
+        ]
+        for k in range(1, 5):
+            cells = il_counts(dps[:k])
+            assert [cells.il_tp, cells.il_tn, cells.il_fp, cells.il_fn] == [1] * k + [0] * (4 - k)
+            assert cg_f1(dps[:k]).il == cells
 
 
 class TestMcc:

@@ -354,6 +354,14 @@ class TestCliEvalImage:
         assert f"validation error: {report}: cannot write file (no such directory)" in err
         assert ".part" not in err
 
+    def test_unwritable_report_name(self, tmp_path, capsys):
+        # a name longer than the file system allows fails on the write itself
+        gt, pred = self.corpus_paths(tmp_path)
+        report = tmp_path / ("r" * 300 + ".json")
+        assert main(["eval-image", "--gt", gt, "--pred", pred, "--report", str(report)]) == 2
+        assert f"validation error: {report}: cannot write file (" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.json", "pred.json"]
+
     def test_undefined_metric_exit_3(self, tmp_path):
         gt = write(tmp_path / "gt.json", minimal_gt_doc())
         pred = write(tmp_path / "pred.json", {"schema_version": 1, "predictions": []})
@@ -659,6 +667,9 @@ class TestCliRejectsIgnoredOrOutOfRangeFlags:
              "--annotation-index does not apply with --oracle"),
             (["--pred", None, "--oracle"], ["--annotation-index", "1"],
              "--annotation-index does not apply with --oracle"),
+            ([], [], "choose exactly one of --pred, --random-pair or --human-oracle"),
+            (["--pred", None], ["--human-oracle"],
+             "choose exactly one of --pred, --random-pair or --human-oracle"),
         ],
     )
     def test_flag_ignored_by_protocol(self, tmp_path, capsys, protocol, extra, message):
@@ -1423,6 +1434,29 @@ class TestLoadersRejectCoercion:
         detections = {"0": [], "1": [], "01": [{**self.FULL, "score": 0.9}]}
         code = self.track(tmp_path, detections=detections)
         self.assert_rejected(code, capsys, "frame key '01' is not a canonical integer")
+
+    LONG = "9" * 5000  # more digits than int() converts
+
+    @pytest.mark.parametrize(
+        "kind", ["not-utf8", "long-integer", "deep-nesting", "long-frame-key"])
+    def test_undecodable_input(self, tmp_path, capsys, kind):
+        # each used to end in a traceback instead of a validation error
+        if kind == "long-frame-key":
+            code = self.track(tmp_path, detections={"0": [], "1": [], self.LONG: []})
+            message = f"frame key '{self.LONG}' is not a canonical integer"
+            self.assert_rejected(code, capsys, message)
+            return
+        gt = tmp_path / "gt.json"
+        if kind == "not-utf8":
+            gt.write_bytes(b"\xff")
+        elif kind == "long-integer":
+            text = json.dumps(minimal_gt_doc())
+            gt.write_text(text.replace('"height": 4', f'"height": {self.LONG}'))
+        else:
+            gt.write_text("[" * 100000)
+        code = main(["eval-image", "--gt", str(gt), "--human-oracle",
+                     "--report", str(tmp_path / "r.json")])
+        self.assert_rejected(code, capsys, f"validation error: {gt}: invalid JSON (")
 
     def test_masklet_id_string_alias(self, tmp_path, capsys):
         masklets = [{"id": 1, "frames": {"0": self.FULL}}, {"id": "1", "frames": {}}]

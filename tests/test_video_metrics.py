@@ -10,15 +10,15 @@ from phraseseg import (
     RleMask,
     UndefinedMetricError,
     cg_f1,
+    gate,
     hota,
-    match_masklets,
     phota_remap,
     random_pair,
     video_cg_f1,
     volume_iou,
 )
 from phraseseg.image_metrics import human_oracle
-from phraseseg.matching import iou_matrix
+from phraseseg.matching import iou_matrix, optimal_match
 from phraseseg.video_metrics import HOTA_ALPHAS, _column_sums, _pairwise_sum
 
 from _reference import reference_hota, reference_image_metrics
@@ -34,24 +34,31 @@ def vdp(gts, preds, video="v", phrase="thing"):
 
 
 class TestMatchMasklets:
+    """Masklets are matched by the kernel that scores video cgF1: an optimal
+    matching on the volume IoU matrix, rows = gated predictions."""
+
     def test_identical(self):
         track = seq(4, 4, {0: m((0, 0)), 1: m((0, 1))})
-        match = match_masklets(vdp([track], [(track, 0.9)]))
-        assert match.pairs == ((0, 0, 1.0),)
+        assert optimal_match(iou_matrix([track], [track])).pairs == ((0, 0, 1.0),)
 
     def test_content_swapped(self):
         a = seq(4, 4, {0: m((0, 0)), 1: m((0, 0))})
         b = seq(4, 4, {0: m((3, 3)), 1: m((3, 3))})
-        match = match_masklets(vdp([a, b], [(b, 0.9), (a, 0.8)]))
-        assert match.gt_for() == {0: 1, 1: 0}
+        assert optimal_match(iou_matrix([b, a], [a, b])).gt_for() == {0: 1, 1: 0}
 
     def test_no_predictions(self):
         track = seq(4, 4, {0: m((0, 0))})
-        assert match_masklets(vdp([track], [])).pairs == ()
+        assert optimal_match(iou_matrix([], [track])).pairs == ()
 
     def test_gate_applies(self):
+        # a score of exactly 0.5 does not pass the gate: the masklet is
+        # neither matched nor counted as a presence prediction
         track = seq(4, 4, {0: m((0, 0))})
-        assert match_masklets(vdp([track], [(track, 0.5)])).pairs == ()
+        dp = vdp([track], [(track, 0.5)])
+        assert gate(dp.predictions) == ()
+        report = video_cg_f1([dp], mode="micro")
+        assert [t.tp for t in report.per_threshold] == [0] * 10
+        assert (report.il.il_tp, report.il.il_fn) == (0, 1)
 
 
 class TestVideoCgF1:
@@ -232,8 +239,8 @@ class TestRemap:
         vdps = [vdp([track], [], video="v", phrase=p) for p in ("a", "b", "c")]
         remapped = phota_remap(vdps)
         assert len(remapped) == 3
-        assert sorted(s.synthetic_id for s in remapped.sequences) == [0, 1, 2]
-        assert {(s.video_id, s.phrase) for s in remapped.sequences} == {
+        assert sorted(s.synthetic_id for s in remapped) == [0, 1, 2]
+        assert {(s.video_id, s.phrase) for s in remapped} == {
             ("v", "a"),
             ("v", "b"),
             ("v", "c"),
@@ -246,20 +253,20 @@ class TestRemap:
         track = seq(4, 4, {0: m((0, 0))})
         vdps = [vdp([track], [], video=v, phrase="p") for v in ("v1", "v2")]
         remapped = phota_remap(vdps)
-        assert len({s.synthetic_id for s in remapped.sequences}) == 2
+        assert len({s.synthetic_id for s in remapped}) == 2
 
     def test_masks_carried_bit_exact(self):
         track = seq(4, 4, {0: m((0, 0)), 2: m((1, 1))})
         pred = seq(4, 4, {0: m((0, 1))})
         remapped = phota_remap([vdp([track], [(pred, 0.9)])])
-        out = remapped.sequences[0]
+        out = remapped[0]
         assert out.gt_tracks == (track,)
         assert out.pred_tracks[0].frames[0].counts == pred.frames[0].counts
 
     def test_gate_applied_to_predictions(self):
         track = seq(4, 4, {0: m((0, 0))})
         remapped = phota_remap([vdp([track], [(track, 0.4)])])
-        assert remapped.sequences[0].pred_tracks == ()
+        assert remapped[0].pred_tracks == ()
 
 
 def as_sets(track: FrameMaskSeq):
@@ -408,7 +415,7 @@ class TestHota:
             remapped = phota_remap(sequences)
             total_volume = sum(
                 tr.area
-                for s in remapped.sequences
+                for s in remapped
                 for tr in (*s.gt_tracks, *s.pred_tracks)
             )
             if total_volume == 0:
@@ -420,7 +427,7 @@ class TestHota:
                         [as_sets(tr) for tr in s.gt_tracks],
                         [as_sets(tr) for tr in s.pred_tracks],
                     )
-                    for s in remapped.sequences
+                    for s in remapped
                 ]
             )
             assert got.hota == pytest.approx(expected["HOTA"], abs=1e-9)
@@ -456,6 +463,6 @@ class TestHota:
                 media=f"synthetic{s.synthetic_id}",
                 phrase="object",
             )
-            for s in phota_remap(vdps).sequences
+            for s in phota_remap(vdps)
         ]
         assert hota(phota_remap(remapped_layout)).hota == original.hota
