@@ -255,7 +255,7 @@ def _cmd_simulate(args) -> int:
         io_schemas.load_scenario_config(args.config) if args.config else sim.ScenarioConfig()
     )
     if args.seed is not None:
-        cfg = sim.ScenarioConfig(**{**cfg.__dict__, "seed": args.seed})
+        cfg = sim.ScenarioConfig(**{**cfg._asdict(), "seed": args.seed})
     if args.out_gt and cfg.frames < 2:
         # a one-frame media is an image, whose instances cannot be masklets
         raise ValidationError(
@@ -269,18 +269,19 @@ def _cmd_simulate(args) -> int:
     media = io_schemas.MediaInfo(
         id=args.media_id, height=cfg.height, width=cfg.width, frames=cfg.frames
     )
-    doc = io_schemas.detection_stream_doc(media, scenario.detections)
-    io_schemas.write_atomic(args.out_detections, io_schemas.dumps_json(doc))
-    if args.out_gt:
-        gt = tuple(image_metrics.GtInstance(s) for s in scenario.gt_masklets)
-        dp = image_metrics.DataPoint(media.id, args.phrase, (gt,))
-        dataset = io_schemas.Dataset(media={media.id: media}, records=[dp])
-        gt_doc = io_schemas.dataset_doc(dataset)
-        io_schemas.write_atomic(args.out_gt, io_schemas.dumps_json(gt_doc))
-    if args.out_tracks:
-        tracks = dict(enumerate(scenario.gt_masklets))
-        doc = io_schemas.tracks_doc(media, tracks)
-        io_schemas.write_atomic(args.out_tracks, io_schemas.dumps_json(doc))
+
+    def outputs():  # built one at a time, as each is written
+        yield args.out_detections, io_schemas.detection_stream_doc(media, scenario.detections)
+        if args.out_gt:
+            gt = tuple(image_metrics.GtInstance(s) for s in scenario.gt_masklets)
+            dp = image_metrics.DataPoint(media.id, args.phrase, (gt,))
+            dataset = io_schemas.Dataset(media={media.id: media}, records=[dp])
+            yield args.out_gt, io_schemas.dataset_doc(dataset)
+        if args.out_tracks:
+            tracks = dict(enumerate(scenario.gt_masklets))
+            yield args.out_tracks, io_schemas.tracks_doc(media, tracks)
+
+    io_schemas.write_atomic_all((path, io_schemas.dumps_json(doc)) for path, doc in outputs())
     return 0
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, groupby
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import UndefinedMetricError
 from .masks import FrameMaskSeq, RleMask
@@ -23,8 +23,7 @@ from .matching import DEFAULT_GATE, Detection, IouMatrix, gate, iou_matrix, opti
 IOU_THRESHOLDS: tuple[float, ...] = tuple((50 + 5 * k) / 100 for k in range(10))
 
 
-@dataclass(frozen=True)
-class GtInstance:
+class GtInstance(NamedTuple):
     """One ground-truth instance: a mask on an image, a masklet on a video.
     ``group`` marks a multi-instance mask.
 
@@ -36,32 +35,27 @@ class GtInstance:
     group: bool = False
 
 
-@dataclass(frozen=True)
-class DataPoint:
+class DataPoint(namedtuple("DataPoint", "media_id phrase annotations predictions")):
     """One (media, phrase) record, image or video: per-annotator ground truth
     plus predictions.
 
     An annotation with zero instances means the phrase is absent (a negative).
     """
 
-    media_id: str
-    phrase: str
-    annotations: tuple[tuple[GtInstance, ...], ...]
-    predictions: tuple[Detection, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.annotations:
-            raise ValueError(f"datapoint {self.media_id}/{self.phrase} has no annotation")
-        masks = [x.mask for x in chain(*self.annotations, self.predictions)]
+    def __new__(cls, media_id: str, phrase: str,
+                annotations: tuple[tuple[GtInstance, ...], ...],
+                predictions: tuple[Detection, ...] = ()):
+        if not annotations:
+            raise ValueError(f"datapoint {media_id}/{phrase} has no annotation")
+        masks = [x.mask for x in chain(*annotations, predictions)]
         if len({type(m) for m in masks}) > 1:
-            raise ValueError(
-                f"datapoint {self.media_id}/{self.phrase} mixes image masks and masklets"
-            )
+            raise ValueError(f"datapoint {media_id}/{phrase} mixes image masks and masklets")
         grids = {(m.height, m.width) for m in masks}
         if len(grids) > 1:
-            raise ValueError(
-                f"datapoint {self.media_id}/{self.phrase} mixes grids: {sorted(grids)}"
-            )
+            raise ValueError(f"datapoint {media_id}/{phrase} mixes grids: {sorted(grids)}")
+        return tuple.__new__(cls, (media_id, phrase, annotations, predictions))
 
     def annotation_masks(self, index: int) -> tuple[RleMask | FrameMaskSeq, ...]:
         return tuple(inst.mask for inst in self.annotations[index])
@@ -70,8 +64,7 @@ class DataPoint:
         return len(self.annotations[index]) > 0
 
 
-@dataclass(frozen=True)
-class ILCounts:
+class ILCounts(NamedTuple):
     """Image-level presence confusion counts."""
 
     il_tp: int
@@ -84,8 +77,7 @@ class ILCounts:
         return self.il_tp + self.il_tn + self.il_fp + self.il_fn
 
 
-@dataclass(frozen=True)
-class ThresholdStat:
+class ThresholdStat(NamedTuple):
     """Accumulated localization counts and F1 values at one IoU threshold."""
 
     tau: float
@@ -96,8 +88,7 @@ class ThresholdStat:
     macro_f1: float
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     """Full metric readout for one evaluation run."""
 
     cg_f1: float
@@ -169,8 +160,7 @@ def _f1(tp: int, size: int) -> float:
     return 2 * tp / size if size > 0 else 1.0
 
 
-@dataclass(frozen=True)
-class AnnotationEval:
+class AnnotationEval(NamedTuple):
     """Outcome of one datapoint scored against one annotation: its sizes and
     the TP count per threshold. FP = n_pred - TP and FN = n_gt - TP."""
 

@@ -15,12 +15,12 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from itertools import islice
+from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ValidationError
 from .image_metrics import DataPoint, GtInstance, combine_scores
-from .masks import FrameMaskSeq, RleMask, _RunLengthsError
+from .masks import FrameMaskSeq, RleMask, _Record, _RunLengthsError
 from .matching import Detection, plain_sum
 from .sim import ScenarioConfig
 from .tracker import TrackerConfig, TrackResult
@@ -28,8 +28,7 @@ from .tracker import TrackerConfig, TrackResult
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class MediaInfo:
+class MediaInfo(NamedTuple):
     id: str
     height: int
     width: int
@@ -40,10 +39,12 @@ class MediaInfo:
         return self.frames > 1
 
 
-@dataclass
-class Dataset:
-    media: dict[str, MediaInfo]
-    records: list[DataPoint] = field(default_factory=list)  # in file order
+class Dataset(_Record):
+    __slots__ = _fields = ("media", "records")
+
+    def __init__(self, media: dict[str, MediaInfo], records: Optional[list[DataPoint]] = None):
+        self.media = media
+        self.records = [] if records is None else records  # in file order
 
 
 # Predictions keyed by (media_id, phrase).
@@ -360,8 +361,10 @@ def _join(dataset: Dataset, preds: PredictionSet, video: bool) -> tuple[list[Dat
     kind of media that had no labeled datapoint (ignored under the federated
     convention).
     """
+    # the constructor, not _replace, so the joined predictions are validated
     joined = [
-        replace(dp, predictions=preds.get((dp.media_id, dp.phrase), ()))
+        DataPoint(dp.media_id, dp.phrase, dp.annotations,
+                  preds.get((dp.media_id, dp.phrase), ()))
         for dp in dataset.records
         if dataset.media[dp.media_id].is_video == video
     ]
@@ -439,8 +442,7 @@ def predictions_doc(preds: PredictionSet) -> dict:
 # -- detection streams and masklet outputs ----------------------------------
 
 
-@dataclass
-class DetectionStream:
+class DetectionStream(NamedTuple):
     media: MediaInfo
     frames: tuple[tuple[Detection, ...], ...]
 
@@ -463,10 +465,13 @@ def load_detection_stream(path) -> DetectionStream:
         per_frame = raw
     elif isinstance(raw, dict):
         keyed = _frame_keyed(raw, media, "detections", errs)
-        missing = sorted(set(range(media.frames)) - set(keyed))
-        if missing:
-            errs.add("detections", f"missing frames {missing}")
-        per_frame = [keyed.get(t) for t in range(media.frames)]
+        n_missing = media.frames - len(keyed)  # every key is a distinct frame in range
+        if n_missing:
+            first = list(islice((t for t in range(media.frames) if t not in keyed), 10))
+            more = f" and {n_missing - 10} more ({n_missing} of {media.frames})"
+            errs.add("detections", f"missing frames {first}{more if n_missing > 10 else ''}")
+        else:
+            per_frame = [keyed[t] for t in range(media.frames)]
     else:
         errs.add("detections", "must be an array of frame lists or an object keyed by frame")
     errs.raise_if_any()
@@ -561,8 +566,8 @@ def load_masklets(path) -> tuple[MediaInfo, dict[int, FrameMaskSeq]]:
 
 # -- configs -----------------------------------------------------------------
 
-# Which JSON values a config field takes, keyed by the type its dataclass
-# declares (a string, under postponed annotations).
+# Which JSON values a config field takes, keyed by the type that the NamedTuple
+# under a config's validating subclass declares (a ForwardRef to this string).
 _FIELD_TYPES = {
     "int": _is_int,
     "float": _is_number,
@@ -572,12 +577,12 @@ _FIELD_TYPES = {
 
 
 def _load_config(path, cls, what: str):
-    """A config dataclass from a JSON object of some of its fields, each
+    """A config NamedTuple from a JSON object of some of its fields, each
     checked against the field's declared type."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ValidationError([f"{path}: {what} config must be a JSON object"])
-    types = {f.name: f.type for f in fields(cls)}
+    types = {name: t.__forward_arg__ for name, t in cls.__base__.__annotations__.items()}
     unknown = sorted(set(doc) - set(types))
     if unknown:
         raise ValidationError([f"{path}: unknown {what} config fields {unknown}"])
@@ -712,6 +717,35 @@ def write_atomic(path, text: str):
     finally:
         if tmp is not None and os.path.exists(tmp):  # a renamed temp file is gone
             os.unlink(tmp)
+
+
+def write_atomic_all(files: Iterable[tuple[Any, str]]):
+    """``write_atomic`` each ``(path, text)``, all or nothing: a refused write undoes
+    the ones before it, removing a new file or restoring a replaced one from a hard link."""
+    done: list[tuple[str, Optional[str]]] = []  # (target, link to the file it replaced)
+    try:
+        for k, (path, text) in enumerate(files):
+            real = os.path.realpath(path)
+            old = None
+            if os.path.exists(real):
+                old = os.path.join(os.path.dirname(real), f".tmp-{os.getpid()}-{k}.old")
+                try:
+                    os.link(real, old)
+                except OSError as exc:
+                    raise ValidationError([f"{path}: cannot write file ({exc})"]) from exc
+            done.append((real, old))
+            write_atomic(path, text)
+    except ValidationError:
+        for real, old in reversed(done):  # the refused target is as it was
+            if old is not None:
+                os.replace(old, real)
+            elif os.path.exists(real):
+                os.unlink(real)
+        raise
+    finally:
+        for _, old in done:
+            if old is not None and os.path.lexists(old):
+                os.unlink(old)
 
 
 def report_csv(doc: Mapping[str, Any]) -> str:

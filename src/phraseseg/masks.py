@@ -17,7 +17,7 @@ tight bounding box is computed on each ``bbox_of`` call.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import accumulate
 from typing import TYPE_CHECKING, Mapping
 
@@ -38,8 +38,43 @@ def _grid_error(height, width) -> ValueError:
     return ValueError(f"mask grid must be non-empty, got {height}x{width}")
 
 
-@dataclass(frozen=True, slots=True)
-class RleMask:
+class _Record:
+    """Equality, repr and pickle by ``_fields``, for the records that are not tuples."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        # rebuild through the validating constructor; unset cache slots cannot be pickled
+        return type(self), self._key()
+
+
+class _Frozen(_Record):
+    """A record whose attributes cannot be assigned once it is built."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+_set = object.__setattr__
+
+
+class RleMask(_Frozen):
     """A binary mask on a fixed ``height x width`` grid, stored as run lengths.
 
     ``counts`` always sums to ``height * width``. Construction normalizes the
@@ -47,12 +82,15 @@ class RleMask:
     background run), so equal masks compare equal structurally.
     """
 
-    height: int
-    width: int
-    counts: tuple[int, ...]
-    area: int = field(init=False, repr=False, compare=False)
-    # cache, unset until first use: the foreground runs (see _runs_of)
-    _runs: list[int] = field(init=False, repr=False, compare=False)
+    # area: the foreground pixel count; _runs: a cache, unset until first use (see _runs_of)
+    __slots__ = ("height", "width", "counts", "area", "_runs")
+    _fields = ("height", "width", "counts")
+
+    def __init__(self, height: int, width: int, counts: tuple[int, ...]):
+        _set(self, "height", height)
+        _set(self, "width", width)
+        _set(self, "counts", counts)
+        self.__post_init__()  # looked up on self: perfbench/tracing.py wraps it as rlemask_init
 
     def __post_init__(self):
         height, width = self.height, self.width
@@ -68,12 +106,11 @@ class RleMask:
             raise ValueError(f"run lengths sum to {total}, expected {height * width}")
         if 0 in counts[1:]:
             counts = _canonicalize(counts)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "area", sum(counts[1::2]))
+        _set(self, "counts", counts)
+        _set(self, "area", sum(counts[1::2]))
 
-    def __reduce__(self):
-        # unset cache slots cannot be pickled; rebuild from the fields
-        return type(self), (self.height, self.width, self.counts)
+    def __hash__(self):
+        return hash((self.height, self.width, self.counts))
 
     def decode(self) -> np.ndarray:
         """Exact inverse of :func:`rle_encode`: a new writable boolean grid on each call."""
@@ -115,7 +152,7 @@ def _runs_of(mask: RleMask) -> list[int]:
     runs = list(accumulate(mask.counts))
     if len(runs) & 1:
         runs.pop()  # the end of the trailing background run
-    object.__setattr__(mask, "_runs", runs)
+    _set(mask, "_runs", runs)
     return runs
 
 
@@ -239,18 +276,15 @@ def mask_iom(a: RleMask | FrameMaskSeq, b: RleMask | FrameMaskSeq) -> float:
     return inter / (area_a if area_a < area_b else area_b)
 
 
-@dataclass(frozen=True)
-class BBox:
+class BBox(namedtuple("BBox", "x y w h")):
     """Axis-aligned pixel box, ``(x, y)`` top-left and ``(w, h)`` extent."""
 
-    x: int
-    y: int
-    w: int
-    h: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.w < 0 or self.h < 0:
+    def __new__(cls, x: int, y: int, w: int, h: int):
+        if w < 0 or h < 0:
             raise ValueError("box extent must be non-negative")
+        return tuple.__new__(cls, (x, y, w, h))
 
     @property
     def area(self) -> int:
@@ -292,21 +326,17 @@ def bbox_iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-@dataclass(frozen=True)
-class FrameMaskSeq:
+class FrameMaskSeq(_Frozen):
     """Per-frame masks of one tracked identity. An absent frame is an empty
     mask; ``area`` is the volume, so the mask kernels take a masklet as a mask."""
 
-    height: int
-    width: int
-    frames: Mapping[int, RleMask]
-    area: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("height", "width", "frames", "area")
+    _fields = ("height", "width", "frames")
 
-    def __post_init__(self):
-        height, width = self.height, self.width
+    def __init__(self, height: int, width: int, frames: Mapping[int, RleMask]):
         if type(height) is not int or type(width) is not int or height <= 0 or width <= 0:
             raise _grid_error(height, width)
-        frames = dict(self.frames)
+        frames = dict(frames)
         for idx, mask in frames.items():
             if isinstance(idx, bool) or not isinstance(idx, int) or idx < 0:
                 raise ValueError(f"frame index must be a non-negative int, got {idx!r}")
@@ -317,8 +347,10 @@ class FrameMaskSeq:
                     f"frame {idx} mask is {mask.height}x{mask.width}, "
                     f"sequence grid is {height}x{width}"
                 )
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "area", sum(m.area for m in frames.values()))
+        _set(self, "height", height)
+        _set(self, "width", width)
+        _set(self, "frames", frames)
+        _set(self, "area", sum(m.area for m in frames.values()))
 
     def __hash__(self):
         return hash((self.height, self.width, frozenset(self.frames.items())))

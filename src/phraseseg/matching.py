@@ -3,23 +3,21 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .masks import FrameMaskSeq, RleMask, mask_iom, mask_iou
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(namedtuple("Detection", "mask score group")):
     """One scored proposal: a mask on an image, a masklet on a video."""
 
-    mask: RleMask | FrameMaskSeq
-    score: float
-    group: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"detection score must be in [0, 1], got {self.score}")
+    def __new__(cls, mask: RleMask | FrameMaskSeq, score: float, group: bool = False):
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"detection score must be in [0, 1], got {score}")
+        return tuple.__new__(cls, (mask, score, group))
 
 
 DEFAULT_GATE = 0.5
@@ -39,23 +37,23 @@ def gate(items: Sequence[Detection], threshold: float = DEFAULT_GATE) -> tuple[D
     return tuple(d for d in items if d.score > threshold)
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(namedtuple("Matching", "pairs")):
     """Injective partial assignment of prediction rows to ground-truth columns.
 
     ``pairs`` holds ``(pred_index, gt_index, iou)`` in ascending prediction
     order; zero-IoU pairs are never part of a matching.
     """
 
-    pairs: tuple[tuple[int, int, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        preds = [p for p, _, _ in self.pairs]
-        gts = [g for _, g, _ in self.pairs]
+    def __new__(cls, pairs: tuple[tuple[int, int, float], ...]):
+        preds = [p for p, _, _ in pairs]
+        gts = [g for _, g, _ in pairs]
         if preds != sorted(set(preds)) or len(gts) != len(set(gts)):
             raise ValueError("matching must be injective with ascending prediction order")
-        if any(not 0.0 < iou <= 1.0 for _, _, iou in self.pairs):
+        if any(not 0.0 < iou <= 1.0 for _, _, iou in pairs):
             raise ValueError("matched pairs must have IoU in (0, 1]")
+        return tuple.__new__(cls, (pairs,))
 
     def total(self) -> float:
         return plain_sum(iou for _, _, iou in self.pairs)

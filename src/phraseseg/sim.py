@@ -10,8 +10,8 @@ truth with its own jitter. Everything is a pure function of (config, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from collections import namedtuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 from .masks import BBox, FrameMaskSeq, RleMask, bbox_of, mask_iou
 from .matching import Detection, gate, iou_matrix, optimal_match
@@ -24,8 +24,7 @@ MAX_PROMPT_ITERATIONS = 5
 EXEMPLAR_IOU = 0.5  # a match at this IoU is a hit; a false positive below it, a negative
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class _ScenarioConfigFields(NamedTuple):
     height: int = 64
     width: int = 64
     frames: int = 60
@@ -42,7 +41,12 @@ class ScenarioConfig:
     occlusions: tuple[tuple[int, int, int], ...] = ()  # (object, first, last) inclusive
     seed: int = 0
 
-    def __post_init__(self):
+
+class ScenarioConfig(_ScenarioConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.frames < 1:
             raise ValueError("frame count must be >= 1")
         if self.objects < 0:
@@ -67,10 +71,10 @@ class ScenarioConfig:
                 raise ValueError(f"invalid occlusion window {(obj, first, last)}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        return self
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     gt_masklets: tuple[FrameMaskSeq, ...]
     detections: tuple[tuple[Detection, ...], ...]
     propagator: Propagator
@@ -241,19 +245,17 @@ def follow_reference(
     return propagate
 
 
-@dataclass(frozen=True)
-class PromptEvent:
+class PromptEvent(namedtuple("PromptEvent", "kind box iteration")):
     """One interactive refinement: a positive or negative exemplar box."""
 
-    kind: str  # "positive" | "negative"
-    box: BBox
-    iteration: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("positive", "negative"):
-            raise ValueError(f"unknown prompt kind {self.kind!r}")
-        if not 0 <= self.iteration < MAX_PROMPT_ITERATIONS:
-            raise ValueError(f"iteration {self.iteration} outside the prompt budget")
+    def __new__(cls, kind: str, box: BBox, iteration: int):
+        if kind not in ("positive", "negative"):
+            raise ValueError(f"unknown prompt kind {kind!r}")
+        if not 0 <= iteration < MAX_PROMPT_ITERATIONS:
+            raise ValueError(f"iteration {iteration} outside the prompt budget")
+        return tuple.__new__(cls, (kind, box, iteration))
 
 
 def exemplar_policy(

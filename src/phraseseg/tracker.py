@@ -12,20 +12,18 @@ are ever shown.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 # mask_iou is unused here but stays importable: perfbench/test_perfbench.py
 # checks that the tracer patches it in this module
-from .masks import FrameMaskSeq, RleMask, bbox_iou, bbox_of, mask_iou  # noqa: F401
+from .masks import FrameMaskSeq, RleMask, _Record, bbox_iou, bbox_of, mask_iou  # noqa: F401
 from .matching import Detection, gate, iou_matrix, optimal_match
 
 Propagator = Callable[["Masklet", int], tuple[RleMask, float]]
 
 
-@dataclass(frozen=True)
-class TrackerConfig:
+class _TrackerConfigFields(NamedTuple):
     confirmation_window: int = 15  # frames of delay before a track may be shown
     confirmation_threshold: int = 0  # minimum windowed detection score to survive
     match_iou: float = 0.5  # strict lower bound for detection/track agreement
@@ -36,7 +34,12 @@ class TrackerConfig:
     recondition_bbox_iou: float = 0.85
     detection_gate: float = 0.5
 
-    def __post_init__(self):
+
+class TrackerConfig(_TrackerConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.confirmation_window < 1:
             raise ValueError("confirmation window must be >= 1")
         if self.reprompt_period < 1:
@@ -52,40 +55,42 @@ class TrackerConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
+        return self
 
     @property
     def duplicate_frames(self) -> int:
         return math.ceil(self.confirmation_window / 2)
 
 
-@dataclass
-class Masklet:
+class Masklet(_Record):
     """One tracked identity with its per-frame state."""
 
-    id: int
-    t_first: int
-    masks: dict[int, RleMask] = field(default_factory=dict)
-    scores: dict[int, float] = field(default_factory=dict)
-    zeroed: set[int] = field(default_factory=set)  # frames whose output is blanked
-    lifetime_mds: int = 0
-    # earlier masklet id -> frames on which the two shared a detection
-    shared: dict[int, int] = field(default_factory=dict)
+    __slots__ = _fields = ("id", "t_first", "masks", "scores", "zeroed", "lifetime_mds", "shared")
+
+    def __init__(self, id: int, t_first: int, masks=None, scores=None, zeroed=None,
+                 lifetime_mds: int = 0, shared=None):
+        self.id = id
+        self.t_first = t_first
+        self.masks: dict[int, RleMask] = {} if masks is None else masks
+        self.scores: dict[int, float] = {} if scores is None else scores
+        self.zeroed: set[int] = set() if zeroed is None else zeroed  # frames shown blank
+        self.lifetime_mds = lifetime_mds
+        # earlier masklet id -> frames on which the two shared a detection
+        self.shared: dict[int, int] = {} if shared is None else shared
 
 
 def _indicator(ious: Iterable[float], threshold: float) -> int:
     return 1 if any(iou > threshold for iou in ious) else -1
 
 
-@dataclass(frozen=True)
-class FrameOutput:
+class FrameOutput(NamedTuple):
     """Masks shown for one (delayed) frame; None means a suppressed track."""
 
     frame: int
     masks: dict[int, Optional[RleMask]]
 
 
-@dataclass
-class TrackResult:
+class TrackResult(NamedTuple):
     """The shown output of a whole video: each masklet id's frame map, in
     which ``None`` marks a suppressed frame."""
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import UndefinedMetricError
 from .image_metrics import DataPoint, MetricReport, _report
@@ -44,8 +43,7 @@ def video_cg_f1(
     return _report(dps, "video", gate_threshold, mode, False, annotation_index)
 
 
-@dataclass(frozen=True)
-class RemappedSequence:
+class RemappedSequence(NamedTuple):
     """One synthetic single-class video holding exactly one (video, phrase) pair."""
 
     synthetic_id: int
@@ -78,8 +76,7 @@ def phota_remap(
     )
 
 
-@dataclass(frozen=True)
-class AlphaStats:
+class AlphaStats(NamedTuple):
     alpha: float
     tp: int
     fn: int
@@ -89,8 +86,7 @@ class AlphaStats:
     hota: float
 
 
-@dataclass(frozen=True)
-class HotaResult:
+class HotaResult(NamedTuple):
     hota: float
     det_a: float
     ass_a: float

@@ -237,8 +237,6 @@ def reference_random_pair_report(dps, trials, seed, mode="micro"):
     at score 1.0; the report holds the field-wise medians over trials, with
     presence counts and datapoint counts truncated to integers.
     """
-    from dataclasses import fields
-
     from phraseseg.image_metrics import (
         DataPoint,
         ILCounts,
@@ -264,7 +262,7 @@ def reference_random_pair_report(dps, trials, seed, mode="micro"):
 
     def median(items, cls, cast=float):
         return cls(**{
-            f.name: cast(np.median([getattr(x, f.name) for x in items])) for f in fields(cls)
+            name: cast(np.median([getattr(x, name) for x in items])) for name in cls._fields
         })
 
     def med(name, cast=float):

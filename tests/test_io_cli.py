@@ -305,14 +305,13 @@ class TestConfigs:
         assert "unknown tracker config fields ['output_delay']" in capsys.readouterr().err
 
     def test_every_config_field_type_is_checked(self):
-        from dataclasses import fields
-
         from phraseseg.sim import ScenarioConfig
         from phraseseg.tracker import TrackerConfig
 
         for cls in (TrackerConfig, ScenarioConfig):
-            for f in fields(cls):
-                assert f.type in io._FIELD_TYPES, (cls.__name__, f.name, f.type)
+            # the NamedTuple under the validating subclass declares the fields
+            for name, declared in cls.__base__.__annotations__.items():
+                assert declared.__forward_arg__ in io._FIELD_TYPES, (cls.__name__, name, declared)
 
 
 class TestCliEvalImage:
@@ -732,6 +731,38 @@ class TestCliSimulateTrackRejections:
         assert main(["simulate", "--out-detections", str(dets), "--out-gt", str(gt)]) == 2
         assert f"validation error: {gt}: cannot write file ({reason})" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_simulate_refused_later_write_leaves_no_output(self, tmp_path, capsys, existing):
+        dets, tracks = tmp_path / "d.json", tmp_path / "t.json"
+        gt = tmp_path / ("g" * 300 + ".json")  # a name too long for the file system
+        if existing:
+            dets.write_bytes(b"old detections\n")
+            dets.chmod(0o640)
+        argv = ["simulate", "--seed", "7", "--out-detections", str(dets), "--out-gt", str(gt),
+                "--out-tracks", str(tracks)]
+        assert main(argv) == 2
+        assert f"validation error: {gt}: cannot write file (" in capsys.readouterr().err
+        if existing:
+            assert dets.read_bytes() == b"old detections\n"
+            assert dets.stat().st_mode & 0o777 == 0o640
+            assert [p.name for p in tmp_path.iterdir()] == ["d.json"]
+        else:
+            assert list(tmp_path.iterdir()) == []
+
+    def test_sparse_keyed_stream_names_at_most_ten_missing_frames(self, tmp_path, capsys):
+        doc = {
+            "schema_version": 1,
+            "media": {"id": "v", "height": 4, "width": 4, "frames": 100000},
+            "detections": {"5": []},
+        }
+        out = tmp_path / "m.json"
+        assert main(["track", "--detections", write(tmp_path / "d.json", doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 1024
+        assert ("missing frames [0, 1, 2, 3, 4, 6, 7, 8, 9, 10] and 99989 more "
+                "(99999 of 100000)") in err
+        assert not out.exists()
 
     def test_out_gt_needs_two_frames(self, tmp_path, capsys):
         # a one-frame media loads as an image, so its masklets could not be read back
@@ -1265,10 +1296,15 @@ class TestGoldenReports:
 
 
 # Runs one CLI command in a fresh interpreter and, unless it may load numpy,
-# checks that it did not.
+# checks that it did not. Importing the CLI must never load dataclasses or
+# inspect: both cost more set-up time than the whole package.
 _FRESH_CLI = """
 import sys
+before = set(sys.modules)
 from phraseseg.cli import main
+added = {"dataclasses", "inspect"} & (set(sys.modules) - before)
+if added:
+    sys.exit(f"import phraseseg.cli loaded {sorted(added)}")
 code = main(sys.argv[2:])
 if sys.argv[1] == "numpy-free" and "numpy" in sys.modules:
     sys.exit("numpy was imported")
