@@ -261,7 +261,6 @@ def _cmd_simulate(args) -> int:
         raise ValidationError(
             [f"--out-gt needs a scenario of at least 2 frames, got {cfg.frames}"]
         )
-    io_schemas.check_writable(args.out_detections, args.out_gt, args.out_tracks)
     try:
         scenario = sim.gen_scenario(cfg)
     except ValueError as exc:
@@ -326,6 +325,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_distinct_outputs(args)
+        io_schemas.check_writable(*(getattr(args, name, None) for name in _OUTPUTS))
         return _COMMANDS[args.command](args)
     except ValidationError as exc:
         for line in exc.errors:

@@ -270,8 +270,10 @@ class TestConfigs:
             ({"height": 64.0}, "height must be of type int, got 64.0"),
             ({"seed": 1.5}, "seed must be of type int, got 1.5"),
             ({"fp_rate": float("inf")}, "fp_rate must be of type float, got inf"),
+            ([1], "scenario config must be a JSON object"),
         ],
-        ids=["frames-true", "occlusions-str-float", "height-float", "seed-float", "fp_rate-inf"],
+        ids=["frames-true", "occlusions-str-float", "height-float", "seed-float", "fp_rate-inf",
+             "not-an-object"],
     )
     def test_scenario_config_field_types(self, tmp_path, doc, message):
         with pytest.raises(ValidationError) as exc:
@@ -352,6 +354,17 @@ class TestCliEvalImage:
         err = capsys.readouterr().err
         assert f"validation error: {report}: cannot write file (no such directory)" in err
         assert ".part" not in err
+
+    @pytest.mark.parametrize("command", ["eval-image", "eval-video", "count", "track"])
+    def test_outputs_checked_before_inputs_are_read(self, tmp_path, capsys, command):
+        missing, report = tmp_path / "missing.json", tmp_path / "nodir" / "r.json"
+        if command == "track":
+            argv = ["track", "--detections", str(missing), "--out", str(report)]
+        else:
+            argv = [command, "--gt", str(missing), "--pred", str(missing), "--report", str(report)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: {report}: cannot write file (no such directory)\n")
 
     def test_unwritable_report_name(self, tmp_path, capsys):
         # a name longer than the file system allows fails on the write itself
@@ -817,6 +830,8 @@ class TestCliSimulateTrackRejections:
         out = tmp_path / "out.json"
         assert main(["track", "--detections", dets, "--tracks", tracks, "--out", str(out)]) == 2
         assert "--tracks applies only with --propagator tracks" in capsys.readouterr().err
+        assert main(["track", "--detections", dets, "--propagator", "tracks", "--out", str(out)]) == 2
+        assert "--propagator tracks needs --tracks FILE" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -1388,11 +1403,13 @@ class TestLoadersRejectCoercion:
                      "--pred", write(tmp_path / "pred.json", pred),
                      "--report", str(tmp_path / "r.json")])
 
-    def track(self, tmp_path, detections=([], []), masklets=(), tracks_patch=None):
+    def track(self, tmp_path, detections=([], []), masklets=(), tracks_patch=None,
+              stream_patch=None):
         stream = {"schema_version": 1, "media": self.VIDEO, "detections": detections}
         tracks = {"schema_version": 1, "media": self.VIDEO, "masklets": list(masklets)}
-        if tracks_patch:
-            tracks_patch(tracks)
+        for doc, patch in ((stream, stream_patch), (tracks, tracks_patch)):
+            if patch:
+                patch(doc)
         return main(["track", "--detections", write(tmp_path / "d.json", stream),
                      "--out", str(tmp_path / "out.json"), "--propagator", "tracks",
                      "--tracks", write(tmp_path / "t.json", tracks)])
@@ -1493,6 +1510,65 @@ class TestLoadersRejectCoercion:
         code = main(["eval-image", "--gt", str(gt), "--human-oracle",
                      "--report", str(tmp_path / "r.json")])
         self.assert_rejected(code, capsys, f"validation error: {gt}: invalid JSON (")
+
+    @staticmethod
+    def human_oracle(tmp_path, gt):
+        return main(["eval-image", "--gt", gt, "--human-oracle",
+                     "--report", str(tmp_path / "r.json")])
+
+    @pytest.mark.parametrize(
+        "run, message",
+        [
+            (lambda t, p: t.human_oracle(p, str(p / "missing.json")),
+             "missing.json: cannot read file ("),
+            (lambda t, p: t.human_oracle(p, write(p / "gt.json", [])),
+             "gt.json: top-level value must be a JSON object"),
+            (lambda t, p: t.eval_image(p, gt_instance=5),
+             "annotations[0][0]: mask must be an object with a 'counts' array"),
+            (lambda t, p: t.eval_video(p, gt_frames="x"),
+             "annotations[0][0]: 'frames' must be an object keyed by frame index"),
+            (lambda t, p: t.eval_image(p, gt_patch=lambda d: d.update(media=[5])),
+             "media[0]: media entry must be an object"),
+            (lambda t, p: t.track(p, stream_patch=lambda d: d.update(media=5)),
+             "media: media entry must be an object"),
+            (lambda t, p: t.track(p, tracks_patch=lambda d: d.update(media=5)),
+             "media: media entry must be an object"),
+            (lambda t, p: t.eval_image(p, gt_patch=lambda d: d.update(datapoints=[5])),
+             "datapoints[0]: record must be an object"),
+            (lambda t, p: t.eval_video(p, pred_instance={"score": 0.9}),
+             "instances[0]: video instance needs a 'frames' object"),
+            (lambda t, p: t.eval_image(
+                p, pred_patch=lambda d: d["predictions"][0]["instances"][0].pop("score")),
+             "instances[0]: instance needs a 'score'"),
+            (lambda t, p: t.eval_image(p, gt_patch=lambda d: d["media"].append(d["media"][0])),
+             "media[1]: duplicate media id 'm'"),
+            (lambda t, p: t.eval_image(
+                p, gt_patch=lambda d: d["datapoints"][0].update(annotations=[])),
+             "datapoints[0]: datapoint needs at least one annotation list"),
+            (lambda t, p: t.eval_image(
+                p, pred_patch=lambda d: d["predictions"].append(d["predictions"][0])),
+             "predictions[1]: duplicate prediction record for ('m', 'box')"),
+            (lambda t, p: t.eval_image(
+                p, pred_patch=lambda d: d["predictions"][0].update(instances=5)),
+             "predictions[0]: 'instances' must be a list"),
+            (lambda t, p: t.track(p, detections=5),
+             "detections: must be an array of frame lists or an object keyed by frame"),
+            (lambda t, p: t.track(p, detections=[5, []]),
+             "detections[0]: frame entry must be a list"),
+            (lambda t, p: t.track(p, masklets=[{"id": 0}]),
+             "masklets[0]: masklet needs 'id' and 'frames'"),
+            (lambda t, p: t.track(p, masklets=[{"id": 0, "frames": {}}] * 2),
+             "masklets[1]: duplicate masklet id 0"),
+        ],
+        ids=["missing-file", "top-level-array", "mask-not-object", "frames-not-object",
+             "media-not-object", "stream-media-5", "masklet-media-5", "record-not-object",
+             "video-instance-without-frames", "instance-without-score", "duplicate-media-id",
+             "no-annotation-list", "duplicate-prediction-record", "instances-not-a-list",
+             "detections-not-frames", "frame-entry-not-a-list", "masklet-without-frames",
+             "duplicate-masklet-id"],
+    )
+    def test_malformed_input(self, tmp_path, capsys, run, message):
+        self.assert_rejected(run(self, tmp_path), capsys, message)
 
     def test_masklet_id_string_alias(self, tmp_path, capsys):
         masklets = [{"id": 1, "frames": {"0": self.FULL}}, {"id": "1", "frames": {}}]

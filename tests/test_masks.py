@@ -399,10 +399,31 @@ def row_disjoint(draw):
 
 
 @st.composite
+def offset_split(draw):
+    """Two masks split at a column-major offset k: one lies wholly before k,
+    the other wholly from k on. Their foreground offset spans touch (the
+    pixels at k - 1 and k are both set) or miss; k falls inside a column or
+    on a column edge."""
+    h, w = draw(shapes.filter(lambda s: s[0] * s[1] >= 2))
+    n = h * w
+    if w >= 2 and draw(st.booleans()):
+        k = h * draw(st.integers(1, w - 1))  # the first pixel of a column
+    else:
+        k = draw(st.integers(1, n - 1))
+    a, b = draw(grids((h, w))).ravel(order="F"), draw(grids((h, w))).ravel(order="F")
+    a[k:] = False
+    b[:k] = False
+    if draw(st.booleans()):
+        a[k - 1] = b[k] = True
+    a, b = a.reshape((h, w), order="F"), b.reshape((h, w), order="F")
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@st.composite
 def grid_pairs(draw):
     shape = draw(shapes)
     return draw(st.one_of(
-        st.tuples(grids(shape), grids(shape)), touching_rects(), row_disjoint()))
+        st.tuples(grids(shape), grids(shape)), touching_rects(), row_disjoint(), offset_split()))
 
 
 def masklets(shape):

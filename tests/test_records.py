@@ -32,6 +32,7 @@ from phraseseg import (
     UndefinedMetricError,
     ValidationError,
     cg_f1,
+    random_pair,
 )
 
 MASK = RleMask(2, 2, (1, 2, 1))
@@ -167,6 +168,11 @@ def _occlusion_out_of_range():
         (lambda: ScenarioConfig(frames=0), "frame count must be >= 1"),
         (lambda: ScenarioConfig(max_size=80), "objects must fit inside the grid"),
         (lambda: ScenarioConfig(seed=-1), "seed must be >= 0"),
+        (lambda: ScenarioConfig(objects=-1), "object count must be >= 0"),
+        (lambda: ScenarioConfig(distractor_prob=1.5), "distractor probability must be in [0, 1]"),
+        (lambda: ScenarioConfig(waypoints=1), "need at least 2 trajectory waypoints"),
+        (lambda: cg_f1([_datapoint()], mode="x"), "unknown aggregation mode 'x'"),
+        (lambda: random_pair([_datapoint()], trials=0), "trials must be >= 1"),
         (_occlusion_out_of_range, "invalid occlusion window (0, 2, 4)"),
     ],
 )
@@ -182,6 +188,18 @@ def test_pickle_and_copy_round_trip(cls):
     for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
         assert type(clone) is cls
         assert clone == record and hash(clone) == hash(record)
+
+
+@pytest.mark.parametrize("cls", [FrameMaskSeq, Masklet, RleMask],
+                         ids=["FrameMaskSeq", "Masklet", "RleMask"])
+def test_repr_rebuilds_the_record(cls):
+    record = RECORDS[cls]()
+    assert eval(repr(record), vars(phraseseg)) == record
+    assert record != object()
+
+
+def test_validation_error_takes_one_message():
+    assert ValidationError("one").errors == ["one"]
 
 
 def test_configs_replace_fields_through_asdict():
