@@ -172,18 +172,24 @@ def _parse_rle(obj, media: MediaInfo, where: str, errs: _Collector) -> Optional[
 
 def _parse_frame_masks(
     obj, media: MediaInfo, where: str, errs: _Collector
-) -> Optional[FrameMaskSeq]:
+) -> tuple[Optional[FrameMaskSeq], int]:
+    """A frame map's masks and ``_first_frame`` of its canonical keys."""
     if not isinstance(obj, dict):
         errs.add(where, "'frames' must be an object keyed by frame index")
-        return None
+        return None, 0
+    keyed = _frame_keyed(obj, media, where, errs)
+    # a key past the last frame exceeds every key in range; only a map with
+    # no key in range is parsed again
+    first = min(keyed) if keyed else _first_frame(
+        t for t in map(_frame_index, obj) if t is not None)
     frames = {
         t: _parse_rle(value, media, f"{where}.frames[{t}]", errs)
-        for t, value in _frame_keyed(obj, media, where, errs).items()
+        for t, value in keyed.items()
         if value is not None
     }
     if any(mask is None for mask in frames.values()):
-        return None
-    return FrameMaskSeq(media.height, media.width, frames)
+        return None, first
+    return FrameMaskSeq(media.height, media.width, frames), first
 
 
 def _parse_media_entry(entry, where, errs: _Collector) -> Optional[MediaInfo]:
@@ -231,7 +237,7 @@ def _parse_instance(
     if not media.is_video:
         mask = _parse_rle(inst, media, where, errs)
     elif isinstance(inst, dict) and "frames" in inst:
-        mask = _parse_frame_masks(inst["frames"], media, where, errs)
+        mask = _parse_frame_masks(inst["frames"], media, where, errs)[0]
     else:
         errs.add(where, "video instance needs a 'frames' object")
         return None
@@ -387,10 +393,17 @@ def _media_doc(media: MediaInfo) -> dict:
     return {"id": media.id, "height": media.height, "width": media.width, "frames": media.frames}
 
 
+class _RunLengths(list):
+    """A mask's counts in a document. A mask has at least one run and its run
+    lengths are ints, so ``dumps_json`` writes them without looking at them."""
+
+    __slots__ = ()
+
+
 def _frames_doc(frames: Mapping[int, Optional[RleMask]]) -> dict:
     """Frame map keyed by ``str(t)``; a ``None`` mask (suppressed) stays null."""
     return {
-        str(t): None if m is None else {"counts": list(m.counts)}
+        str(t): None if m is None else {"counts": _RunLengths(m.counts)}
         for t, m in sorted(frames.items())
     }
 
@@ -403,7 +416,7 @@ def _instance_doc(
     if isinstance(mask, FrameMaskSeq):
         doc: dict[str, Any] = {"frames": _frames_doc(mask.frames)}
     else:
-        doc = {"counts": list(mask.counts)}
+        doc = {"counts": _RunLengths(mask.counts)}
     if group:
         doc["group"] = True
     if score is not None:
@@ -545,13 +558,11 @@ def load_masklets(path) -> tuple[MediaInfo, dict[int, FrameMaskSeq]]:
         if not _is_int(mid):
             errs.add(where, f"masklet id must be a JSON integer, got {mid!r}")
             continue
-        seq = _parse_frame_masks(rec["frames"], media, where, errs)
+        seq, expected = _parse_frame_masks(rec["frames"], media, where, errs)
         if seq is None:
             continue
         if "first_frame" in rec:
-            # a key that names no frame was reported by _parse_frame_masks
-            keys = (t for t in map(_frame_index, rec["frames"]) if t is not None)
-            first, expected = rec["first_frame"], _first_frame(keys)
+            first = rec["first_frame"]
             if not (_is_int(first) and first == expected):
                 errs.add(where, f"first_frame must be {expected}, the smallest frame key, "
                                 f"got {first!r}")
@@ -624,7 +635,10 @@ def _float_json(x: float) -> str:
 def _write_json(value, nl: str, out: list[str]):
     """Append the JSON text of ``value`` to ``out``; ``nl`` is a newline plus
     the indent of the line ``value`` starts on."""
-    if isinstance(value, str):
+    if type(value) is _RunLengths:
+        inner = nl + "  "
+        out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]")
+    elif isinstance(value, str):
         out.append(_escape(value))
     elif value is None or value is True or value is False:
         out.append("null" if value is None else "true" if value else "false")
@@ -636,9 +650,6 @@ def _write_json(value, nl: str, out: list[str]):
         out.append("{}" if isinstance(value, dict) else "[]")
     elif isinstance(value, (list, tuple)):
         inner = nl + "  "
-        if {*map(type, value)} == {int}:  # a mask's counts: one join, no bools
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]")
-            return
         sep = "[" + inner
         for item in value:
             out.append(sep)
@@ -663,7 +674,7 @@ def dumps_json(doc: Any) -> str:
     booleans and ``None``; anything else raises ``TypeError``. ``json`` drops
     to its pure-Python encoder whenever ``indent`` is set, which yields every
     run length of a mask as its own chunk; this writer escapes strings with
-    ``json``'s C escaper and writes an all-int list in one join."""
+    ``json``'s C escaper and writes a mask's counts in one join."""
     out: list[str] = []
     _write_json(doc, "\n", out)
     out.append("\n")

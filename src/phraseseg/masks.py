@@ -7,11 +7,10 @@ immutable after construction and every operation is a pure function.
 
 The geometry kernels read areas, boxes and overlaps straight from the runs, as
 the COCO mask API does (``rleArea``, ``rleToBbox``, ``rleIou``); none of them
-decodes a mask to a dense grid. A mask's first comparison caches its
-foreground runs as column-major offsets. Two masks whose foreground offset
-spans (from the first foreground pixel's offset to just past the last one's)
-do not meet share no pixel; otherwise only the runs inside the shared span are
-merged. The tight bounding box is computed on each ``bbox_of`` call.
+decodes a mask to a dense grid. Two masks whose foreground offset spans, read
+from the outer background runs, do not meet share no pixel; otherwise the runs
+in the shared span are merged, as offsets a mask caches the first time a merge
+or ``bbox_of`` needs them. The tight bounding box is computed on each call.
 """
 
 from __future__ import annotations
@@ -99,12 +98,12 @@ class RleMask(_Frozen):
         counts = tuple(self.counts)
         if not counts:
             raise ValueError("counts must contain at least one run")
-        if not {*map(type, counts)} <= {int} or min(counts) < 0:  # rejects bool and float
+        if not {*map(type, counts)} <= {int} or (low := min(counts)) < 0:  # rejects bool and float
             raise _RunLengthsError("run lengths must be non-negative integers")
         total = sum(counts)
         if total != height * width:
             raise ValueError(f"run lengths sum to {total}, expected {height * width}")
-        if 0 in counts[1:]:
+        if low == 0 and 0 in counts[1:]:
             counts = _canonicalize(counts)
         _set(self, "counts", counts)
         _set(self, "area", sum(counts[1::2]))
@@ -131,6 +130,17 @@ class RleMask(_Frozen):
         return cls(height, width, (0, height * width))
 
 
+def _canonical_mask(height: int, width: int, counts: tuple[int, ...], area: int) -> RleMask:
+    """``RleMask`` of canonical ``counts`` on a positive int grid, unchecked."""
+    mask = RleMask.__new__(RleMask)
+    _set(mask, "height", height)
+    _set(mask, "width", width)
+    _set(mask, "counts", counts)
+    _set(mask, "area", area)
+    _set(mask, "_runs", None)
+    return mask
+
+
 def _canonicalize(counts) -> tuple[int, ...]:
     # Merge zero-length runs while preserving background/foreground parity.
     merged = [0]
@@ -145,14 +155,14 @@ def _canonicalize(counts) -> tuple[int, ...]:
     return tuple(merged)
 
 
-def _runs_of(mask: RleMask) -> list[int]:
+def _runs_of(mask: RleMask) -> tuple[int, ...]:
     """Foreground runs as flat column-major ``[start, end)`` offsets
     ``[s0, e0, s1, e1, ...]``, cached on the mask. The cumulative sums of the
     counts are the run boundaries; a canonical mask's foreground runs are
     non-empty and separated by background, so the offsets strictly increase."""
-    runs = list(accumulate(mask.counts))
-    if len(runs) & 1:
-        runs.pop()  # the end of the trailing background run
+    counts = mask.counts
+    # a tuple, not a list: the collector stops tracking a tuple of ints
+    runs = tuple(accumulate(counts[:-1] if len(counts) & 1 else counts))
     _set(mask, "_runs", runs)
     return runs
 
@@ -181,20 +191,27 @@ def _mismatch(a: RleMask | FrameMaskSeq, b: RleMask | FrameMaskSeq) -> ValueErro
 
 
 def _overlap(a: RleMask, b: RleMask) -> int:
-    """Pixels in both of two masks on one grid. Masks whose foreground offset
-    spans do not meet share none; otherwise the runs inside the shared span
-    are merged."""
-    if not a.area or not b.area:
-        return 0
+    """Pixels in both of two masks on one grid: all of a mask's with itself,
+    none when the foreground offset spans do not meet (an empty mask's span
+    is empty), otherwise those of the runs merged inside the shared span."""
+    if a is b:
+        return a.area
+    # every common pixel lies in the shared span, offsets [lo, hi); a trailing
+    # background run is there when the number of runs is odd
+    ca, cb, n = a.counts, b.counts, a.height * a.width
+    lo = ca[0] if ca[0] > cb[0] else cb[0]
+    hi = n - ca[-1] if len(ca) & 1 else n
+    if len(cb) & 1 and n - cb[-1] < hi:
+        hi = n - cb[-1]
+    return _merged(a, b, lo, hi) if lo < hi else 0
+
+
+def _merged(a: RleMask, b: RleMask, lo: int, hi: int) -> int:
+    """Pixels in both of two masks whose shared span ``[lo, hi)`` is not empty."""
     ra = a._runs or _runs_of(a)
     rb = b._runs or _runs_of(b)
-    # every common pixel lies in the shared span, offsets [lo, hi); the runs
-    # that meet it start at an even index from i (j) up to, not including,
-    # i_end (j_end)
-    lo = ra[0] if ra[0] > rb[0] else rb[0]
-    hi = ra[-1] if ra[-1] < rb[-1] else rb[-1]
-    if lo >= hi:
-        return 0
+    # the runs that meet the shared span start at an even index from i (j) up
+    # to, not including, i_end (j_end)
     i = bisect_right(ra, lo)
     i -= i & 1
     i_end = bisect_left(ra, hi, i)
@@ -245,7 +262,18 @@ def mask_iou(a: RleMask | FrameMaskSeq, b: RleMask | FrameMaskSeq) -> float:
     # intersection_area inlined: one more call per pair costs 1-2 % of the kernel
     if type(a) is not type(b) or a.height != b.height or a.width != b.width:
         raise _mismatch(a, b)
-    inter = _overlap(a, b) if type(a) is RleMask else _volume_overlap(a, b)
+    if type(a) is RleMask:
+        # _overlap inlined: most pairs on a video frame miss
+        ca, cb, n = a.counts, b.counts, a.height * a.width
+        lo = ca[0] if ca[0] > cb[0] else cb[0]
+        hi = n - ca[-1] if len(ca) & 1 else n
+        if len(cb) & 1 and n - cb[-1] < hi:
+            hi = n - cb[-1]
+        if lo >= hi:
+            return 0.0
+        inter = a.area if a is b else _merged(a, b, lo, hi)
+    else:
+        inter = _volume_overlap(a, b)
     union = a.area + b.area - inter
     return inter / union if union else 0.0
 

@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
-from .masks import BBox, FrameMaskSeq, RleMask, bbox_of, mask_iou
+from .masks import BBox, FrameMaskSeq, RleMask, _canonical_mask, bbox_of, mask_iou
 from .matching import Detection, gate, iou_matrix, optimal_match
 from .tracker import Masklet, Propagator
 
@@ -81,16 +81,23 @@ class Scenario(NamedTuple):
 
 
 def _rect_mask(height: int, width: int, box: BBox) -> RleMask:
-    """The box, clipped to the grid, as column-major runs: one foreground run
-    per column, with the gap to the next column's run between them."""
-    x0, y0 = max(0, box.x), max(0, box.y)
-    x1, y1 = min(width, box.x + box.w), min(height, box.y + box.h)
+    """The int box, clipped to the grid, as column-major runs: one foreground
+    run per column, with the gap to the next column's run between them.
+    Canonical runs skip the constructor's checks; a full-height box or one
+    that ends on the grid's last pixel has zero-length runs and takes them,
+    as does a grid whose sizes are not ints."""
+    x, y, w, h = box  # clipped by conditionals: max() and min() made this 45 % slower
+    x0, y0 = x if x > 0 else 0, y if y > 0 else 0
+    x1, y1 = x + w if x + w < width else width, y + h if y + h < height else height
     if x1 <= x0 or y1 <= y0:
         return RleMask.empty(height, width)
     fg = y1 - y0
     counts = [x0 * height + y0, *[fg, height - fg] * (x1 - x0)]
     counts[-1] = (width - x1 + 1) * height - y1  # the rest of the grid
-    return RleMask(height, width, tuple(counts))
+    if fg == height or not counts[-1] or type(height) is not int or type(width) is not int:
+        return RleMask(height, width, tuple(counts))
+    # built as a list: a tuple display unpacking the runs kept more memory alive
+    return _canonical_mask(height, width, tuple(counts), fg * (x1 - x0))
 
 
 def _shifted(box: BBox, dx: int, dy: int, height: int, width: int) -> BBox:
@@ -160,15 +167,17 @@ def gen_scenario(cfg: ScenarioConfig) -> Scenario:
     def rect(box: BBox) -> RleMask:
         return _rect_mask(cfg.height, cfg.width, box)
 
-    def jittered(box: BBox, amplitude: int) -> BBox:
-        if amplitude == 0:
-            return box
-        dx = int(rng.integers(-amplitude, amplitude + 1))
-        dy = int(rng.integers(-amplitude, amplitude + 1))
-        return _shifted(box, dx, dy, cfg.height, cfg.width)
+    def shifts(amplitude: int, n: int) -> list[int]:
+        # numpy draws n values as n scalar draws would, so a batch keeps the stream
+        return rng.integers(-amplitude, amplitude + 1, size=n).tolist()
 
     def masklets(amplitude: int) -> tuple[FrameMaskSeq, ...]:
-        frames = ({t: rect(jittered(box, amplitude)) for t, box in obj.items()} for obj in boxes)
+        d = iter(shifts(amplitude, 2 * sum(map(len, boxes)))) if amplitude else None
+        frames = (
+            {t: rect(box if d is None else _shifted(box, next(d), next(d), cfg.height, cfg.width))
+             for t, box in obj.items()}
+            for obj in boxes
+        )
         return tuple(FrameMaskSeq(cfg.height, cfg.width, f) for f in frames)
 
     gt_seqs = masklets(0)
@@ -182,7 +191,9 @@ def gen_scenario(cfg: ScenarioConfig) -> Scenario:
         for box in visible:
             if cfg.miss_prob > 0.0 and rng.random() < cfg.miss_prob:
                 continue
-            frame_dets.append(Detection(mask=rect(jittered(box, cfg.jitter_px)), score=1.0))
+            if cfg.jitter_px:
+                box = _shifted(box, *shifts(cfg.jitter_px, 2), cfg.height, cfg.width)
+            frame_dets.append(Detection(mask=rect(box), score=1.0))
         n_fp = int(rng.poisson(cfg.fp_rate)) if cfg.fp_rate > 0 else 0
         for _ in range(n_fp):
             if visible and cfg.distractor_prob > 0 and rng.random() < cfg.distractor_prob:
@@ -237,6 +248,8 @@ def follow_reference(
                     iou = mask_iou(prev, ref)
                     if iou > best_iou:
                         best, best_iou = tid, iou
+                        if iou == 1.0:  # no later track can score higher
+                            break
         cur = None if best is None else output[best].frames.get(frame)
         if cur is None:
             return prev, score

@@ -2,10 +2,11 @@
 
 Nothing here shares code with the package under test beyond plain Python
 and numpy's seeded generators: matchings are found by exhaustive
-enumeration, geometry by pixel sets, and metrics by direct formula
-evaluation. The one exception is :func:`reference_random_pair_report`,
-which folds each trial through the package's own fixed-protocol ``cg_f1`` so
-that a whole random-pair report can be compared bit for bit.
+enumeration, geometry by pixel sets, metrics by direct formula evaluation,
+and a scenario's boxes by one scalar random draw at a time. The one
+exception is :func:`reference_random_pair_report`, which folds each trial
+through the package's own fixed-protocol ``cg_f1`` so that a whole
+random-pair report can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -389,3 +390,97 @@ def reference_hota(sequences):
         "per_alpha": list(zip(ALPHAS, det_a, ass_a, hota_a)),
         "counts": list(zip(tp, fn, fp)),
     }
+
+
+# -- scenario draws -----------------------------------------------------------
+
+
+def reference_scenario_boxes(cfg):
+    """The boxes of ``sim.gen_scenario(cfg)``, drawn one scalar at a time.
+
+    Every random draw is made in the generator's order, and each jitter shift
+    is two scalar ``integers`` calls, ``dx`` then ``dy``. Returns
+    ``(gt, prop, detections)``: ``gt`` and ``prop`` map each object to
+    ``{frame: (x, y, w, h)}``, and ``detections`` holds each frame's
+    ``((x, y, w, h), score)`` in stream order. Boxes are unclipped.
+    """
+    rng = np.random.default_rng(cfg.seed)
+
+    def shifted(box, dx, dy):
+        x, y, w, h = box
+        return (min(max(x + dx, 0), cfg.width - w), min(max(y + dy, 0), cfg.height - h), w, h)
+
+    def jittered(box, amplitude):
+        if amplitude == 0:
+            return box
+        dx = int(rng.integers(-amplitude, amplitude + 1))
+        dy = int(rng.integers(-amplitude, amplitude + 1))
+        return shifted(box, dx, dy)
+
+    def trajectory():
+        w = int(rng.integers(cfg.min_size, cfg.max_size + 1))
+        h = int(rng.integers(cfg.min_size, cfg.max_size + 1))
+        xs_max, ys_max = cfg.width - w, cfg.height - h
+        points = [(int(rng.integers(0, xs_max + 1)), int(rng.integers(0, ys_max + 1)))]
+        for _ in range(cfg.waypoints - 1):
+            px, py = points[-1]
+            nx = int(min(max(px + rng.integers(-cfg.max_step, cfg.max_step + 1), 0), xs_max))
+            ny = int(min(max(py + rng.integers(-cfg.max_step, cfg.max_step + 1), 0), ys_max))
+            points.append((nx, ny))
+        anchors = np.linspace(0, cfg.frames - 1, cfg.waypoints)
+        xs = np.interp(np.arange(cfg.frames), anchors, [p[0] for p in points])
+        ys = np.interp(np.arange(cfg.frames), anchors, [p[1] for p in points])
+        return [(int(round(x)), int(round(y)), w, h) for x, y in zip(xs, ys)]
+
+    def disjoint(a, b):
+        return (a[0] + a[2] <= b[0] or b[0] + b[2] <= a[0]
+                or a[1] + a[3] <= b[1] or b[1] + b[3] <= a[1])
+
+    trajectories = []
+    for _ in range(cfg.objects):
+        for _ in range(200):
+            candidate = trajectory()
+            frames = range(cfg.frames)
+            if all(disjoint(candidate[t], prev[t]) for prev in trajectories for t in frames):
+                trajectories.append(candidate)
+                break
+        else:
+            raise ValueError("could not place spatially disjoint objects")
+
+    hidden = {(obj, t) for obj, first, last in cfg.occlusions for t in range(first, last + 1)}
+    gt = {i: {t: box for t, box in enumerate(traj) if (i, t) not in hidden}
+          for i, traj in enumerate(trajectories)}
+    prop = {i: {t: jittered(box, cfg.prop_jitter_px) for t, box in frames.items()}
+            for i, frames in gt.items()}
+
+    detections = []
+    for t in range(cfg.frames):
+        visible = [frames[t] for frames in gt.values() if t in frames]
+        dets = []
+        for box in visible:
+            if cfg.miss_prob > 0.0 and rng.random() < cfg.miss_prob:
+                continue
+            dets.append((jittered(box, cfg.jitter_px), 1.0))
+        for _ in range(int(rng.poisson(cfg.fp_rate)) if cfg.fp_rate > 0 else 0):
+            if visible and cfg.distractor_prob > 0 and rng.random() < cfg.distractor_prob:
+                target = visible[int(rng.integers(len(visible)))]
+                dx = int(rng.integers(1, max(2, target[2])))
+                dy = int(rng.integers(0, max(1, target[3] // 2) + 1))
+                box = shifted(target, dx, dy)
+            else:
+                w = int(rng.integers(cfg.min_size, cfg.max_size + 1))
+                h = int(rng.integers(cfg.min_size, cfg.max_size + 1))
+                x = int(rng.integers(0, cfg.width - w + 1))
+                y = int(rng.integers(0, cfg.height - h + 1))
+                box = (x, y, w, h)
+            dets.append((box, float(rng.uniform(0.55, 1.0))))
+        detections.append(tuple(dets))
+    return gt, prop, detections
+
+
+def box_grid(height, width, box):
+    """A boolean grid with the box, clipped to it, painted in."""
+    x, y, w, h = box
+    grid = np.zeros((height, width), dtype=bool)
+    grid[max(0, y) : max(0, y + h), max(0, x) : max(0, x + w)] = True
+    return grid

@@ -1725,7 +1725,12 @@ _FLOATS = (
     | st.floats().map(np.float64)
 )
 _SCALARS = st.none() | st.booleans() | _INTS | _FLOATS | _TEXT
-_LEAVES = _SCALARS | st.lists(_INTS) | st.lists(_INTS | st.booleans())
+_LEAVES = (
+    _SCALARS
+    | st.lists(_INTS)
+    | st.lists(_INTS | st.booleans())
+    | st.lists(st.integers(0, 10**6), min_size=1).map(io._RunLengths)  # a mask's counts
+)
 _DOCS = st.recursive(
     _LEAVES,
     lambda children: st.lists(children, max_size=4)

@@ -461,6 +461,59 @@ class TestRunKernelMatchesPixelSets:
         else:
             assert mask_iom(a, b) == (len(pa & pb) / min(len(pa), len(pb)) if pa and pb else 0.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(shapes.flatmap(grids))
+    def test_mask_with_itself(self, grid):
+        # answered without a merge; an empty mask's span meets nothing
+        mask, px = counts_mask(grid), pixels(grid)
+        assert intersection_area(mask, mask) == mask.area == len(px)
+        assert mask_iou(mask, mask) == set_iou(px, px) == (1.0 if px else 0.0)
+        if px:
+            assert mask_iom(mask, mask) == 1.0
+        else:
+            with pytest.raises(UndefinedMetricError):
+                mask_iom(mask, mask)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shapes.flatmap(lambda shape: st.tuples(st.just(shape), masklets(shape))))
+    def test_masklet_with_itself(self, case):
+        (h, w), frames = case
+        a = seq(h, w, {t: counts_mask(g) for t, g in frames.items()})
+        va = {(t, r, c) for t, g in frames.items() for r, c in pixels(g)}
+        assert intersection_area(a, a) == a.area == len(va)
+        assert mask_iou(a, a) == set_iou(va, va)
+        if va:
+            assert volume_iou(a, a) == mask_iom(a, a) == 1.0
+        else:
+            for metric in (volume_iou, mask_iom):
+                with pytest.raises(UndefinedMetricError):
+                    metric(a, a)
+
+    # (a, b) counts on a 3x4 grid (12 offsets); a foreground span runs from
+    # counts[0] to 12 - counts[-1] for odd-length counts, else to 12
+    SPAN_EDGES = {
+        "a-starts-at-0": ((0, 5, 7), (3, 4, 5)),
+        "a-ends-at-last-pixel": ((7, 5), (10, 2)),
+        "both-even-length": ((0, 12), (4, 8)),
+        "touching": ((2, 3, 7), (5, 4, 3)),
+        "touching-at-0-and-end": ((0, 6, 6), (6, 6)),
+        "touching-on-a-column-edge": ((0, 3, 9), (3, 3, 6)),
+        "one-pixel-apart": ((2, 3, 7), (6, 2, 4)),
+        "empty-and-full": ((12,), (0, 12)),
+    }
+
+    @pytest.mark.parametrize("counts_a, counts_b", SPAN_EDGES.values(), ids=SPAN_EDGES)
+    def test_span_edges(self, counts_a, counts_b):
+        def offsets(counts):
+            bounds = [sum(counts[:i]) for i in range(len(counts) + 1)]
+            return {k for i in range(1, len(counts), 2) for k in range(bounds[i], bounds[i + 1])}
+
+        a, b = RleMask(3, 4, counts_a), RleMask(3, 4, counts_b)
+        pa, pb = offsets(counts_a), offsets(counts_b)
+        assert intersection_area(a, b) == intersection_area(b, a) == len(pa & pb)
+        assert mask_iou(a, b) == mask_iou(b, a) == set_iou(pa, pb)
+        assert mask_iom(a, b) == (len(pa & pb) / min(len(pa), len(pb)) if pa and pb else 0.0)
+
     @settings(max_examples=300, deadline=None)
     @given(shapes.flatmap(grids))
     def test_bbox(self, grid):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from phraseseg import Masklet, bbox_of, mask_iou, rle_encode, run
 from phraseseg import io_schemas as io
 from phraseseg.sim import _rect_mask, follow_reference
 
+from _reference import box_grid, reference_scenario_boxes
 from conftest import det, rect_mask, seq
 
 
@@ -167,6 +169,64 @@ def test_draw_order_digest(overrides, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@st.composite
+def scenario_configs(draw):
+    """Small scenarios with every kind of noise: misses, jitter on both
+    sides, false positives (some of them distractors) and occlusions."""
+    size = draw(st.integers(8, 16))
+    frames = draw(st.integers(1, 6))
+    objects = draw(st.integers(0, 2))
+    occlusions = ()
+    if objects and draw(st.booleans()):
+        first = draw(st.integers(0, frames - 1))
+        last = draw(st.integers(first, frames - 1))
+        occlusions = ((draw(st.integers(0, objects - 1)), first, last),)
+    return ScenarioConfig(
+        height=size, width=size + draw(st.integers(0, 4)), frames=frames, objects=objects,
+        min_size=2, max_size=draw(st.integers(2, 4)), waypoints=draw(st.integers(2, 3)),
+        miss_prob=draw(st.sampled_from([0.0, 0.3])), fp_rate=draw(st.sampled_from([0.0, 1.5])),
+        distractor_prob=draw(st.sampled_from([0.0, 0.5])),
+        jitter_px=draw(st.integers(0, 4)), prop_jitter_px=draw(st.integers(0, 4)),
+        occlusions=occlusions, seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario_configs())
+def test_batched_jitter_equals_scalar_draws(cfg):
+    """gen_scenario draws a masklet set's shifts in one call and each
+    detection's in one size-2 call; the stream is the one that two scalar
+    draws per shift give."""
+    try:
+        gt_boxes, prop_boxes, det_boxes = reference_scenario_boxes(cfg)
+    except ValueError:  # no disjoint placement: the generator gives up too
+        with pytest.raises(ValueError, match="disjoint"):
+            gen_scenario(cfg)
+        return
+    scenario = gen_scenario(cfg)
+
+    def mask(box):
+        return rle_encode(box_grid(cfg.height, cfg.width, box))
+
+    assert [s.frames for s in scenario.gt_masklets] == [
+        {t: mask(box) for t, box in frames.items()} for frames in gt_boxes.values()
+    ]
+    assert [[(d.mask, d.score) for d in dets] for dets in scenario.detections] == [
+        [(mask(box), score) for box, score in dets] for dets in det_boxes
+    ]
+    # the propagator moves a masklet on its object's ground truth to the
+    # object's jittered mask, or holds it where the object is hidden
+    for i, frames in gt_boxes.items():
+        for t in range(1, cfg.frames):
+            if t - 1 not in frames:
+                continue
+            masklet = Masklet(id=0, t_first=t - 1)
+            prev = scenario.gt_masklets[i].frames[t - 1]
+            masklet.masks[t - 1], masklet.scores[t - 1] = prev, 0.5
+            expected = mask(prop_boxes[i][t]) if t in prop_boxes[i] else prev
+            assert scenario.propagator(masklet, t)[0] == expected
+
+
 class TestFollowReference:
     G = 12
 
@@ -207,6 +267,22 @@ class TestFollowReference:
         source = self.output() if setting == "sim" else self.reference()
         assert mask == source[2].frames.get(1)
         assert score == (1.0 if setting == "sim" else 0.7)
+
+    @pytest.mark.parametrize("setting", ["cli", "sim"])
+    def test_perfect_match_goes_to_lowest_track_id(self, setting):
+        # tracks 7 and 3 both hold the masklet's frame-0 mask (IoU 1.0 each),
+        # track 1 overlaps it in part; track 3 is followed, as a full scan does
+        prev = self.r(2, 2)
+        reference = {
+            1: seq(self.G, self.G, {0: self.r(3, 3), 1: self.r(0, 0)}),
+            7: seq(self.G, self.G, {0: self.r(2, 2), 1: self.r(7, 7)}),
+            3: seq(self.G, self.G, {0: prev, 1: self.r(5, 5)}),
+        }
+        output = {tid: seq(self.G, self.G, {1: self.r(tid, 0, 2, 2)}) for tid in reference}
+        use_output, confidence = self.SETTINGS[setting]
+        propagate = follow_reference(reference, output if use_output else None, confidence)
+        mask, _ = propagate(self.masklet(prev), 1)
+        assert mask == (output if use_output else reference)[3].frames[1]
 
     @pytest.mark.parametrize("setting", ["cli", "sim"])
     @pytest.mark.parametrize(
@@ -320,6 +396,26 @@ class TestExemplarPolicy:
                 )
 
 
+@st.composite
+def edge_boxes(draw):
+    """A grid and a box on it: anywhere (so clipped at any edge), touching
+    the right and bottom edges, full-height, one pixel, or off the grid."""
+    height, width = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["any", "right-bottom", "full-height", "pixel", "off-grid"]))
+    x, y = draw(st.integers(-3, width - 1)), draw(st.integers(-3, height - 1))
+    w, h = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    if kind == "right-bottom":
+        w, h = width - x + draw(st.integers(0, 2)), height - y + draw(st.integers(0, 2))
+    elif kind == "full-height":
+        h = height - y + draw(st.integers(0, 2))
+        y = min(y, 0)
+    elif kind == "pixel":
+        x, y, w, h = max(x, 0), max(y, 0), 1, 1
+    elif kind == "off-grid":
+        x, y = draw(st.sampled_from([(width, y), (x, height), (-w - 1, y), (x, -h - 1)]))
+    return height, width, BBox(x, y, w, h)
+
+
 class TestRectMask:
     @settings(max_examples=400, deadline=None)
     @given(
@@ -335,3 +431,35 @@ class TestRectMask:
         grid = np.zeros((height, width), dtype=bool)
         grid[max(0, y) : max(0, y + h), max(0, x) : max(0, x + w)] = True
         assert _rect_mask(height, width, BBox(x, y, w, h)) == rle_encode(grid)
+
+    def test_grid_of_non_int_sizes_is_still_checked(self):
+        with pytest.raises(ValueError, match="mask grid sizes must be ints"):
+            _rect_mask(6.0, 5, BBox(1, 1, 2, 2))
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_boxes())
+    @example((5, 6, BBox(0, 0, 6, 5)))  # the full grid
+    @example((5, 6, BBox(2, 3, 4, 2)))  # ends on the grid's last pixel
+    @example((5, 6, BBox(0, -1, 2, 9)))  # full height from offset 0
+    @example((5, 6, BBox(0, 0, 1, 1)))  # the first pixel
+    def test_trusted_path_equals_checked_path(self, case):
+        # canonical runs skip the constructor's checks; the mask must be the
+        # one the checks build from them
+        height, width, box = case
+        mask = _rect_mask(height, width, box)
+        twin = RleMask(height, width, list(mask.counts))  # through every check
+        painted = rle_encode(box_grid(height, width, box))
+        assert mask.counts == twin.counts == painted.counts
+        assert mask.area == twin.area == painted.area
+        assert mask == twin and twin == mask and hash(mask) == hash(twin)
+        assert repr(mask) == repr(twin)
+        copy = pickle.loads(pickle.dumps(mask))
+        assert copy == mask and copy.area == mask.area
+        other = _rect_mask(height, width, BBox(1, 1, 3, 2))
+        assert mask_iou(mask, other) == mask_iou(twin, other) == mask_iou(other, twin)
+        assert mask_iou(mask, twin) == (1.0 if mask.area else 0.0)
+        if mask.area:
+            assert bbox_of(mask) == bbox_of(twin)
+        else:
+            with pytest.raises(ValueError):
+                bbox_of(mask)
