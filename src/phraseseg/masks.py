@@ -7,10 +7,12 @@ immutable after construction and every operation is a pure function.
 
 The geometry kernels read areas, boxes and overlaps straight from the runs, as
 the COCO mask API does (``rleArea``, ``rleToBbox``, ``rleIou``); none of them
-decodes a mask to a dense grid. Two masks whose foreground offset spans, read
-from the outer background runs, do not meet share no pixel; otherwise the runs
-in the shared span are merged, as offsets a mask caches the first time a merge
-or ``bbox_of`` needs them. The tight bounding box is computed on each call.
+decodes a mask to a dense grid. ``_overlap`` is the one function that answers a
+pixel overlap, and ``mask_iou`` and ``mask_iom`` reach it through
+``intersection_area``. Two masks whose foreground offset spans, read from the
+outer background runs, do not meet share no pixel; otherwise the runs in the
+shared span are merged, as offsets cached on a mask by its first merge or
+``bbox_of``. The tight bounding box is computed on each call.
 """
 
 from __future__ import annotations
@@ -191,9 +193,10 @@ def _mismatch(a: RleMask | FrameMaskSeq, b: RleMask | FrameMaskSeq) -> ValueErro
 
 
 def _overlap(a: RleMask, b: RleMask) -> int:
-    """Pixels in both of two masks on one grid: all of a mask's with itself,
-    none when the foreground offset spans do not meet (an empty mask's span
-    is empty), otherwise those of the runs merged inside the shared span."""
+    """Pixels in both of two masks on one grid, the one pixel-overlap function
+    (``mask_iou`` and ``mask_iom`` reach it through ``intersection_area``):
+    all of a mask's with itself, none when the foreground offset spans do not
+    meet (an empty mask's span is empty), else those of the runs merged there."""
     if a is b:
         return a.area
     # every common pixel lies in the shared span, offsets [lo, hi); a trailing
@@ -203,11 +206,8 @@ def _overlap(a: RleMask, b: RleMask) -> int:
     hi = n - ca[-1] if len(ca) & 1 else n
     if len(cb) & 1 and n - cb[-1] < hi:
         hi = n - cb[-1]
-    return _merged(a, b, lo, hi) if lo < hi else 0
-
-
-def _merged(a: RleMask, b: RleMask, lo: int, hi: int) -> int:
-    """Pixels in both of two masks whose shared span ``[lo, hi)`` is not empty."""
+    if lo >= hi:
+        return 0
     ra = a._runs or _runs_of(a)
     rb = b._runs or _runs_of(b)
     # the runs that meet the shared span start at an even index from i (j) up
@@ -259,23 +259,9 @@ def intersection_area(a: RleMask | FrameMaskSeq, b: RleMask | FrameMaskSeq) -> i
 
 def mask_iou(a: RleMask | FrameMaskSeq, b: RleMask | FrameMaskSeq) -> float:
     """Intersection over union (of volumes for masklets); two empty masks have IoU 0."""
-    # intersection_area inlined: one more call per pair costs 1-2 % of the kernel
-    if type(a) is not type(b) or a.height != b.height or a.width != b.width:
-        raise _mismatch(a, b)
-    if type(a) is RleMask:
-        # _overlap inlined: most pairs on a video frame miss
-        ca, cb, n = a.counts, b.counts, a.height * a.width
-        lo = ca[0] if ca[0] > cb[0] else cb[0]
-        hi = n - ca[-1] if len(ca) & 1 else n
-        if len(cb) & 1 and n - cb[-1] < hi:
-            hi = n - cb[-1]
-        if lo >= hi:
-            return 0.0
-        inter = a.area if a is b else _merged(a, b, lo, hi)
-    else:
-        inter = _volume_overlap(a, b)
-    union = a.area + b.area - inter
-    return inter / union if union else 0.0
+    inter = intersection_area(a, b)
+    # a miss returns the shared 0.0, not a new float; a positive overlap has a positive union
+    return inter / (a.area + b.area - inter) if inter else 0.0
 
 
 def mask_iom(a: RleMask | FrameMaskSeq, b: RleMask | FrameMaskSeq) -> float:

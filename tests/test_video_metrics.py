@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,12 +20,16 @@ from phraseseg import (
     video_cg_f1,
     volume_iou,
 )
+from phraseseg import io_schemas, video_metrics
 from phraseseg.image_metrics import human_oracle
 from phraseseg.matching import iou_matrix, optimal_match
 from phraseseg.video_metrics import HOTA_ALPHAS, _column_sums, _pairwise_sum
 
 from _reference import reference_hota, reference_image_metrics
 from conftest import datapoint, det, mask_from_pixels, random_mask, rect_mask, seq
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def m(*pixels):
@@ -466,3 +473,16 @@ class TestHota:
             for s in phota_remap(vdps)
         ]
         assert hota(phota_remap(remapped_layout)).hota == original.hota
+
+    def test_frames_scored_only_through_iou_matrix(self, monkeypatch):
+        # HOTA's per-frame similarity is matching.iou_matrix, the one matrix
+        # path; a mask_iou call of its own would bypass it
+        def fail(*args):
+            pytest.fail("HOTA called mask_iou outside iou_matrix")
+
+        monkeypatch.setattr(video_metrics, "mask_iou", fail)
+        dataset = io_schemas.load_dataset(DATA / "video_corpus_gt.json")
+        preds = io_schemas.load_predictions(DATA / "video_corpus_pred.json", dataset)
+        dps, _ = io_schemas.join_video(dataset, preds)
+        golden = json.loads((DATA / "golden_video_macro.json").read_text())
+        assert hota(phota_remap(dps)).to_dict() == golden["hota"]
