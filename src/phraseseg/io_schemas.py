@@ -192,7 +192,11 @@ def _parse_frame_masks(
     return FrameMaskSeq(media.height, media.width, frames), first
 
 
-def _parse_media_entry(entry, where, errs: _Collector) -> Optional[MediaInfo]:
+def _parse_media_entry(
+    entry, where, errs: _Collector, ids: Optional[set[str]] = None
+) -> Optional[MediaInfo]:
+    """A media entry's ``MediaInfo``, or None if it has an error. ``ids``
+    collects every id that parses, so a repeated one is reported."""
     if not isinstance(entry, dict):
         errs.add(where, "media entry must be an object")
         return None
@@ -200,6 +204,11 @@ def _parse_media_entry(entry, where, errs: _Collector) -> Optional[MediaInfo]:
     ok = isinstance(media_id, str) and media_id != ""
     if not ok:
         errs.add(where, f"media id must be a non-empty string, got {media_id!r}")
+    elif ids is not None:
+        if media_id in ids:
+            errs.add(where, f"duplicate media id {media_id!r}")
+            ok = False
+        ids.add(media_id)
     sizes = {key: entry.get(key) for key in ("height", "width")}
     sizes["frames"] = entry.get("frames", 1)
     for key, value in sizes.items():
@@ -276,14 +285,11 @@ def load_dataset(path) -> Dataset:
     """Load and validate a ground-truth dataset file."""
     doc, errs = _load_doc(path)
     media: dict[str, MediaInfo] = {}
+    ids: set[str] = set()
     for i, entry in enumerate(_array(doc, "media", errs)):
-        info = _parse_media_entry(entry, f"media[{i}]", errs)
-        if info is None:
-            continue
-        if info.id in media:
-            errs.add(f"media[{i}]", f"duplicate media id {info.id!r}")
-            continue
-        media[info.id] = info
+        info = _parse_media_entry(entry, f"media[{i}]", errs, ids)
+        if info is not None:
+            media[info.id] = info
 
     dataset = Dataset(media=media)
     seen_pairs: set[tuple[str, str]] = set()
@@ -333,13 +339,14 @@ def load_predictions(path, dataset: Dataset, *, use_presence: bool = True) -> Pr
         if parsed is None:
             continue
         info, phrase = parsed
-        presence = rec.get("presence", 1.0)
-        if not _is_unit(presence):
-            errs.add(where, f"presence must be in [0, 1], got {presence!r}")
-            continue
         key = (info.id, phrase)
         if key in preds:
             errs.add(where, f"duplicate prediction record for {key!r}")
+            continue
+        preds[key] = ()  # registered now, so a later duplicate is reported if this record fails
+        presence = rec.get("presence", 1.0)
+        if not _is_unit(presence):
+            errs.add(where, f"presence must be in [0, 1], got {presence!r}")
             continue
         instances = rec.get("instances")
         if not isinstance(instances, list):
@@ -558,19 +565,16 @@ def load_masklets(path) -> tuple[MediaInfo, dict[int, FrameMaskSeq]]:
         if not _is_int(mid):
             errs.add(where, f"masklet id must be a JSON integer, got {mid!r}")
             continue
-        seq, expected = _parse_frame_masks(rec["frames"], media, where, errs)
-        if seq is None:
+        if mid in masklets:
+            errs.add(where, f"duplicate masklet id {mid}")
             continue
-        if "first_frame" in rec:
+        seq, expected = _parse_frame_masks(rec["frames"], media, where, errs)
+        masklets[mid] = seq  # registered even if None, as every error raises below
+        if seq is not None and "first_frame" in rec:
             first = rec["first_frame"]
             if not (_is_int(first) and first == expected):
                 errs.add(where, f"first_frame must be {expected}, the smallest frame key, "
                                 f"got {first!r}")
-                continue
-        if mid in masklets:
-            errs.add(where, f"duplicate masklet id {mid}")
-            continue
-        masklets[mid] = seq
     errs.raise_if_any()
     return media, masklets
 

@@ -199,14 +199,12 @@ class Tracker:
                 ):
                     m.masks[tau] = detections[best].mask
 
-        # (8) recondition on box-level drift against the matched detection
+        # (8) recondition on box-level drift against the matched detection; both masks
+        # are non-empty, as a match has IoU > 0 and (7) installs only the row's best
         for mid, c in matched.items():
             m = self.masklets[mid]
             det_mask = detections[c].mask
-            cur = m.masks[tau]
-            if cur.area == 0 or det_mask.area == 0:
-                continue
-            if bbox_iou(bbox_of(cur), bbox_of(det_mask)) < cfg.recondition_bbox_iou:
+            if bbox_iou(bbox_of(m.masks[tau]), bbox_of(det_mask)) < cfg.recondition_bbox_iou:
                 m.masks[tau] = det_mask
 
         # (4), (5) and (9) close the window [tau - T, tau] once it exists

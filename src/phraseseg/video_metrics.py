@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
+from collections import defaultdict
 from itertools import chain
 from typing import NamedTuple, Sequence
 
@@ -106,15 +107,19 @@ class HotaResult(NamedTuple):
         }
 
 
-def _frame_detections(tracks: Sequence[FrameMaskSeq], t: int) -> tuple[list[int], list[RleMask]]:
-    """The indices and masks of the tracks with a non-empty mask on frame ``t``."""
-    ids, masks = [], []
+def _detections_by_frame(tracks: Sequence[FrameMaskSeq]) -> tuple[dict, list[int]]:
+    """Per frame, the ascending indices and the masks of the tracks with a
+    non-empty mask there; per track, the number of such frames."""
+    index = defaultdict(lambda: ([], []))
+    counts = []
     for idx, track in enumerate(tracks):
-        mask = track.frames.get(t)
-        if mask is not None and mask.area > 0:
+        shown = [(t, mask) for t, mask in track.frames.items() if mask.area]
+        counts.append(len(shown))
+        for t, mask in shown:
+            ids, masks = index[t]
             ids.append(idx)
             masks.append(mask)
-    return ids, masks
+    return index, counts
 
 
 def _pairwise_sum(values: Sequence[float]) -> float:
@@ -161,29 +166,18 @@ def _sequence_stats(seq: RemappedSequence) -> tuple[list[int], int, int, list[fl
     alpha the sum over TPs of TPA / (TPA + FNA + FPA). Float sums are taken
     in numpy's order, on which the reported bytes depend."""
     n_alpha = len(HOTA_ALPHAS)
-    n_gt, n_pred = len(seq.gt_tracks), len(seq.pred_tracks)
-    frames = sorted(
-        {t for tr in seq.gt_tracks for t in tr.frames}
-        | {t for tr in seq.pred_tracks for t in tr.frames}
-    )
+    gt_index, gt_count = _detections_by_frame(seq.gt_tracks)
+    pred_index, pred_count = _detections_by_frame(seq.pred_tracks)
 
-    # First pass: per-track detection counts and similarity-weighted overlap,
+    # First pass: similarity-weighted overlap on the frames both sides show,
     # from which the track-level alignment scores are derived.
-    gt_count = [0] * n_gt
-    pred_count = [0] * n_pred
-    potential = [[0.0] * n_pred for _ in range(n_gt)]
+    potential = [[0.0] * len(pred_count) for _ in gt_count]
     per_frame: list[tuple[list[int], list[int], array]] = []
-    for t in frames:
-        gt_ids, gt_masks = _frame_detections(seq.gt_tracks, t)
-        pred_ids, pred_masks = _frame_detections(seq.pred_tracks, t)
-        for i in gt_ids:
-            gt_count[i] += 1
-        for j in pred_ids:
-            pred_count[j] += 1
-        if not gt_masks or not pred_masks:
-            continue
+    for t in sorted(gt_index.keys() & pred_index.keys()):
+        (gt_ids, gt_masks), (pred_ids, pred_masks) = gt_index[t], pred_index[t]
         sim = iou_matrix(gt_masks, pred_masks)
-        # sim kept row-major in an array of doubles, a quarter of a float list's memory
+        # sim kept row-major in an array of doubles, 8 bytes a cell; a float list, whose
+        # misses share one 0.0, traced 1.24 times the memory on seed-1 video-stream
         per_frame.append((gt_ids, pred_ids, array("d", chain.from_iterable(sim))))
         col_sums = _column_sums(sim)
         for i, row in zip(gt_ids, sim):
@@ -200,7 +194,7 @@ def _sequence_stats(seq: RemappedSequence) -> tuple[list[int], int, int, list[fl
     # Second pass: one matching per frame on alignment-weighted similarity. A
     # matched pair with similarity s is a TP at every alpha <= s, the leading
     # ones of the ascending grid.
-    matches_count = [[[0] * n_pred for _ in range(n_gt)] for _ in range(n_alpha)]
+    matches_count = [[[0] * len(pred_count) for _ in gt_count] for _ in range(n_alpha)]
     for gt_ids, pred_ids, sim in per_frame:
         n = len(pred_ids)
         weighted = IouMatrix(
@@ -234,9 +228,6 @@ def hota(sequences: Sequence[RemappedSequence]) -> HotaResult:
     TP-weighted mean of per-pair association accuracies. The headline values
     average the 19-point localization threshold grid.
     """
-    if not any(tr.area for s in sequences for tr in (*s.gt_tracks, *s.pred_tracks)):
-        raise UndefinedMetricError("HOTA is undefined without any ground truth or prediction")
-
     n_alpha = len(HOTA_ALPHAS)
     tp = [0] * n_alpha
     ass_sum = [0.0] * n_alpha
@@ -247,6 +238,8 @@ def hota(sequences: Sequence[RemappedSequence]) -> HotaResult:
         n_gt += seq_gt
         n_pred += seq_pred
         ass_sum = [a + b for a, b in zip(ass_sum, seq_ass_sum)]
+    if not n_gt and not n_pred:
+        raise UndefinedMetricError("HOTA is undefined without any ground truth or prediction")
 
     per_alpha = []
     for alpha, t, s in zip(HOTA_ALPHAS, tp, ass_sum):

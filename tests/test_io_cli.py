@@ -1188,6 +1188,20 @@ class TestCliSimulateTrack:
         pred = write(tmp_path / "pred.json", {"schema_version": 1, "predictions": []})
         assert main(["eval-video", "--gt", gt, "--pred", pred, "--report", str(tmp_path / "r.json")]) == 3
 
+    @pytest.mark.parametrize("frames", [{}, {"0": {"counts": [16]}}], ids=["no-frames", "empty-frame"])
+    def test_eval_video_only_empty_masklets_exit_3(self, tmp_path, capsys, frames):
+        # a positive datapoint whose masklet shows nothing: HOTA counts no detection
+        doc = {
+            "schema_version": 1,
+            "media": [{"id": "v", "height": 4, "width": 4, "frames": 2}],
+            "datapoints": [{"media_id": "v", "phrase": "box", "annotations": [[{"frames": frames}]]}],
+        }
+        gt = write(tmp_path / "gt.json", doc)
+        pred = write(tmp_path / "pred.json", {"schema_version": 1, "predictions": []})
+        assert main(["eval-video", "--gt", gt, "--pred", pred, "--report", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err == (
+            "undefined metric: HOTA is undefined without any ground truth or prediction\n")
+
 
 class TestCliCount:
     def test_nested_duplicates_removed(self, tmp_path):
@@ -1345,10 +1359,13 @@ class TestCliInFreshInterpreter:
              "golden_track_masklets.json"),
             (False, ["simulate", "--config", "golden_sim_config.json"],
              "golden_sim_detections.json"),
+            (True, ["eval-image", "--gt", "annotator_corpus_gt.json", "--human-oracle"],
+             "golden_human_oracle.json"),
             (False, ["eval-image", "--gt", "annotator_corpus_gt.json",
                      "--random-pair", "41", "--seed", "7"], "golden_random_pair_41_seed7.json"),
         ],
-        ids=["eval-image", "count", "eval-video", "track", "simulate", "random-pair"],
+        ids=["eval-image", "count", "eval-video", "track", "human-oracle", "simulate",
+             "random-pair"],
     )
     def test_command(self, tmp_path, numpy_free, args, golden):
         out = tmp_path / "out.json"
@@ -1559,13 +1576,42 @@ class TestLoadersRejectCoercion:
              "masklets[0]: masklet needs 'id' and 'frames'"),
             (lambda t, p: t.track(p, masklets=[{"id": 0, "frames": {}}] * 2),
              "masklets[1]: duplicate masklet id 0"),
+            # a record's identity is registered once it parses, so a later
+            # duplicate is reported even when the earlier record has another fault
+            (lambda t, p: t.eval_image(
+                p, gt_patch=lambda d: d["media"].insert(0, {"id": "m", "height": -1})),
+             "media[1]: duplicate media id 'm'"),
+            (lambda t, p: t.eval_image(p, pred_patch=lambda d: d["predictions"].insert(
+                0, {**d["predictions"][0], "presence": 2})),
+             "predictions[1]: duplicate prediction record for ('m', 'box')"),
+            (lambda t, p: t.eval_image(p, pred_patch=lambda d: d["predictions"].insert(
+                0, {**d["predictions"][0], "instances": 5})),
+             "predictions[1]: duplicate prediction record for ('m', 'box')"),
+            (lambda t, p: t.track(p, masklets=[{"id": 0, "frames": {"0": {"counts": [3]}}},
+                                               {"id": 0, "frames": {}}]),
+             "masklets[1]: duplicate masklet id 0"),
+            (lambda t, p: t.track(p, masklets=[{"id": 0, "first_frame": 1,
+                                                "frames": {"0": t.FULL}},
+                                               {"id": 0, "frames": {}}]),
+             "masklets[1]: duplicate masklet id 0"),
+            (lambda t, p: t.eval_image(
+                p, pred_patch=lambda d: d["predictions"][0].update(media_id="ghost")),
+             "predictions[0]: unknown media id 'ghost'"),
+            (lambda t, p: t.eval_image(p, pred_patch=lambda d: d["predictions"].append(
+                {**d["predictions"][0], "phrase": ""})),
+             "predictions[1]: phrase must be a non-empty string"),
+            (lambda t, p: t.track(p, masklets=[{"id": 0, "frames": {"0": {"counts": [3]}}}]),
+             "masklets[0].frames[0]: run lengths sum to 3, expected 16"),
         ],
         ids=["missing-file", "top-level-array", "mask-not-object", "frames-not-object",
              "media-not-object", "stream-media-5", "masklet-media-5", "record-not-object",
              "video-instance-without-frames", "instance-without-score", "duplicate-media-id",
              "no-annotation-list", "duplicate-prediction-record", "instances-not-a-list",
              "detections-not-frames", "frame-entry-not-a-list", "masklet-without-frames",
-             "duplicate-masklet-id"],
+             "duplicate-masklet-id", "duplicate-after-bad-height", "duplicate-after-bad-presence",
+             "duplicate-after-bad-instances", "duplicate-after-bad-counts",
+             "duplicate-after-bad-first-frame", "unknown-media-id", "empty-phrase",
+             "masklet-counts-wrong-sum"],
     )
     def test_malformed_input(self, tmp_path, capsys, run, message):
         self.assert_rejected(run(self, tmp_path), capsys, message)

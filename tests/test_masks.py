@@ -246,6 +246,9 @@ class TestBBox:
     def test_overlap_one_seventh(self):
         assert bbox_iou(BBox(0, 0, 2, 2), BBox(1, 1, 2, 2)) == 1 / 7
 
+    def test_zero_area_boxes(self):
+        assert bbox_iou(BBox(1, 1, 0, 2), BBox(1, 1, 3, 0)) == 0.0
+
     def test_empty_mask_has_no_box(self):
         with pytest.raises(ValueError):
             bbox_of(RleMask.empty(2, 2))

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from phraseseg import Detection, Tracker, TrackerConfig, run
+from phraseseg import Detection, RleMask, Tracker, TrackerConfig, run
 from phraseseg.tracker import hold_propagator
 from phraseseg import gen_scenario, ScenarioConfig
 from phraseseg import io_schemas as io
@@ -289,6 +289,18 @@ class TestRecondition:
         ]
         result = run(events, propagate, TrackerConfig())
         assert result.masklets[0][5] == prop_mask
+
+    def test_no_empty_mask_at_the_loosest_config(self):
+        # stage (8) takes boxes unguarded: a match has IoU > match_iou >= 0 and
+        # (7) installs only a row's best detection, so both masks are non-empty
+        # even with every bound at 0 and an empty detection on every later frame
+        empty = RleMask.empty(G, G)
+        events = [[Detection(empty, 0.9)] * (t > 0) + [Detection(r(2 + t % 3, 2, 6, 6), 0.9)]
+                  for t in range(12)]
+        cfg = TrackerConfig(match_iou=0.0, reprompt_iou=0.0, reprompt_period=1,
+                            reprompt_confidence=0.0, recondition_bbox_iou=1.0,
+                            detection_gate=0.0)
+        assert run(events, hold_propagator, cfg).masklets
 
 
 class TestDeterminismAndScenario:

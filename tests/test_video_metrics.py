@@ -360,9 +360,24 @@ class TestHota:
                 np.sqrt(stats.det_a * stats.ass_a), abs=1e-15
             )
 
-    def test_empty_everything_undefined(self):
+    @pytest.mark.parametrize(
+        "tracks",
+        [[], [seq(4, 4, {})], [seq(4, 4, {0: RleMask.empty(4, 4), 3: RleMask.empty(4, 4)})]],
+        ids=["no-masklets", "no-frames", "empty-frames"],
+    )
+    def test_empty_everything_undefined(self, tracks):
+        # "undefined" is read from the detection totals, which count only non-empty masks
         with pytest.raises(UndefinedMetricError):
-            hota(phota_remap([vdp([], [], video="a")]))
+            hota(phota_remap([vdp(tracks, [(t, 0.9) for t in tracks], video="a")]))
+
+    def test_empty_frame_same_as_absent_frame(self):
+        gt = seq(4, 4, {0: m((0, 0)), 2: m((1, 1))})
+        shown = {0: m((0, 0)), 1: m((0, 1)), 2: m((1, 1))}
+        absent = seq(4, 4, shown)
+        blank = seq(4, 4, {**shown, 3: RleMask.empty(4, 4), 5: RleMask.empty(4, 4)})
+        gt_blank = seq(4, 4, {**gt.frames, 1: RleMask.empty(4, 4), 4: RleMask.empty(4, 4)})
+        expected = hota(phota_remap([vdp([gt], [(absent, 0.9)])])).to_dict()
+        assert hota(phota_remap([vdp([gt_blank], [(blank, 0.9)])])).to_dict() == expected
 
     def test_false_positive_only_sequence_counts(self):
         gt = seq(4, 4, {0: m((0, 0))})
