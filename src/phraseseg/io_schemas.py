@@ -172,31 +172,38 @@ def _parse_rle(obj, media: MediaInfo, where: str, errs: _Collector) -> Optional[
 
 def _parse_frame_masks(
     obj, media: MediaInfo, where: str, errs: _Collector
-) -> tuple[Optional[FrameMaskSeq], int]:
-    """A frame map's masks and ``_first_frame`` of its canonical keys."""
+) -> Optional[FrameMaskSeq]:
+    """A frame map's masks, or None if one of them has an error."""
     if not isinstance(obj, dict):
         errs.add(where, "'frames' must be an object keyed by frame index")
-        return None, 0
-    keyed = _frame_keyed(obj, media, where, errs)
-    # a key past the last frame exceeds every key in range; only a map with
-    # no key in range is parsed again
-    first = min(keyed) if keyed else _first_frame(
-        t for t in map(_frame_index, obj) if t is not None)
+        return None
     frames = {
         t: _parse_rle(value, media, f"{where}.frames[{t}]", errs)
-        for t, value in keyed.items()
+        for t, value in _frame_keyed(obj, media, where, errs).items()
         if value is not None
     }
     if any(mask is None for mask in frames.values()):
-        return None, first
-    return FrameMaskSeq(media.height, media.width, frames), first
+        return None
+    return FrameMaskSeq(media.height, media.width, frames)
+
+
+def _new_key(key, table: dict, where: str, what: str, errs: _Collector) -> bool:
+    """Enter a record's identity in ``table``, with the value None until the
+    record parses, before anything else of the record is read; a key already
+    there is reported as a duplicate and False returned."""
+    if key in table:
+        errs.add(where, f"duplicate {what} {key!r}")
+        return False
+    table[key] = None
+    return True
 
 
 def _parse_media_entry(
-    entry, where, errs: _Collector, ids: Optional[set[str]] = None
+    entry, where, errs: _Collector, media: Optional[dict[str, Optional[MediaInfo]]] = None
 ) -> Optional[MediaInfo]:
-    """A media entry's ``MediaInfo``, or None if it has an error. ``ids``
-    collects every id that parses, so a repeated one is reported."""
+    """A media entry's ``MediaInfo``, or None if it has an error. A ``media``
+    table gets the id of every entry that declares one, so a record on an
+    entry with an error is known and a repeated id is reported."""
     if not isinstance(entry, dict):
         errs.add(where, "media entry must be an object")
         return None
@@ -204,11 +211,8 @@ def _parse_media_entry(
     ok = isinstance(media_id, str) and media_id != ""
     if not ok:
         errs.add(where, f"media id must be a non-empty string, got {media_id!r}")
-    elif ids is not None:
-        if media_id in ids:
-            errs.add(where, f"duplicate media id {media_id!r}")
-            ok = False
-        ids.add(media_id)
+    elif media is not None:
+        ok = _new_key(media_id, media, where, "media id", errs)
     sizes = {key: entry.get(key) for key in ("height", "width")}
     sizes["frames"] = entry.get("frames", 1)
     for key, value in sizes.items():
@@ -219,9 +223,9 @@ def _parse_media_entry(
 
 
 def _parse_record(
-    rec, media: Mapping[str, MediaInfo], where: str, errs: _Collector
-) -> Optional[tuple[MediaInfo, str]]:
-    """The media and phrase of a datapoint or prediction record."""
+    rec, media: Mapping[str, Optional[MediaInfo]], where: str, errs: _Collector
+) -> Optional[tuple[str, str]]:
+    """The ``(media_id, phrase)`` key of a datapoint or prediction record."""
     if not isinstance(rec, dict):
         errs.add(where, "record must be an object")
         return None
@@ -232,7 +236,7 @@ def _parse_record(
     if not isinstance(phrase, str) or not phrase:
         errs.add(where, "phrase must be a non-empty string")
         return None
-    return media[media_id], phrase
+    return media_id, phrase
 
 
 def _parse_instance(
@@ -246,7 +250,7 @@ def _parse_instance(
     if not media.is_video:
         mask = _parse_rle(inst, media, where, errs)
     elif isinstance(inst, dict) and "frames" in inst:
-        mask = _parse_frame_masks(inst["frames"], media, where, errs)[0]
+        mask = _parse_frame_masks(inst["frames"], media, where, errs)
     else:
         errs.add(where, "video instance needs a 'frames' object")
         return None
@@ -284,25 +288,21 @@ def _parse_score(
 def load_dataset(path) -> Dataset:
     """Load and validate a ground-truth dataset file."""
     doc, errs = _load_doc(path)
-    media: dict[str, MediaInfo] = {}
-    ids: set[str] = set()
+    media: dict[str, Optional[MediaInfo]] = {}  # None: the entry has an error
     for i, entry in enumerate(_array(doc, "media", errs)):
-        info = _parse_media_entry(entry, f"media[{i}]", errs, ids)
+        info = _parse_media_entry(entry, f"media[{i}]", errs, media)
         if info is not None:
             media[info.id] = info
 
-    dataset = Dataset(media=media)
-    seen_pairs: set[tuple[str, str]] = set()
+    records: dict[tuple[str, str], Optional[DataPoint]] = {}
     for i, rec in enumerate(_array(doc, "datapoints", errs)):
         where = f"datapoints[{i}]"
-        parsed = _parse_record(rec, media, where, errs)
-        if parsed is None:
+        key = _parse_record(rec, media, where, errs)
+        if key is None or not _new_key(key, records, where, "datapoint for", errs):
             continue
-        info, phrase = parsed
-        if (info.id, phrase) in seen_pairs:
-            errs.add(where, f"duplicate datapoint for ({info.id!r}, {phrase!r})")
+        info = media[key[0]]
+        if info is None:  # its entry's own errors are reported
             continue
-        seen_pairs.add((info.id, phrase))
         annotations_raw = rec.get("annotations")
         if not isinstance(annotations_raw, list) or not annotations_raw:
             errs.add(where, "datapoint needs at least one annotation list")
@@ -319,9 +319,9 @@ def load_dataset(path) -> Dataset:
                     instances.append(GtInstance(*parsed))
             annotations.append(tuple(instances))
         if len(annotations) == len(annotations_raw):
-            dataset.records.append(DataPoint(info.id, phrase, tuple(annotations)))
+            records[key] = DataPoint(*key, tuple(annotations))
     errs.raise_if_any()
-    return dataset
+    return Dataset(media, list(records.values()))
 
 
 def load_predictions(path, dataset: Dataset, *, use_presence: bool = True) -> PredictionSet:
@@ -335,15 +335,10 @@ def load_predictions(path, dataset: Dataset, *, use_presence: bool = True) -> Pr
     preds: PredictionSet = {}
     for i, rec in enumerate(_array(doc, "predictions", errs)):
         where = f"predictions[{i}]"
-        parsed = _parse_record(rec, dataset.media, where, errs)
-        if parsed is None:
+        key = _parse_record(rec, dataset.media, where, errs)
+        if key is None or not _new_key(key, preds, where, "prediction record for", errs):
             continue
-        info, phrase = parsed
-        key = (info.id, phrase)
-        if key in preds:
-            errs.add(where, f"duplicate prediction record for {key!r}")
-            continue
-        preds[key] = ()  # registered now, so a later duplicate is reported if this record fails
+        info = dataset.media[key[0]]
         presence = rec.get("presence", 1.0)
         if not _is_unit(presence):
             errs.add(where, f"presence must be in [0, 1], got {presence!r}")
@@ -565,13 +560,12 @@ def load_masklets(path) -> tuple[MediaInfo, dict[int, FrameMaskSeq]]:
         if not _is_int(mid):
             errs.add(where, f"masklet id must be a JSON integer, got {mid!r}")
             continue
-        if mid in masklets:
-            errs.add(where, f"duplicate masklet id {mid}")
+        if not _new_key(mid, masklets, where, "masklet id", errs):
             continue
-        seq, expected = _parse_frame_masks(rec["frames"], media, where, errs)
-        masklets[mid] = seq  # registered even if None, as every error raises below
+        seq = masklets[mid] = _parse_frame_masks(rec["frames"], media, where, errs)
         if seq is not None and "first_frame" in rec:
             first = rec["first_frame"]
+            expected = _first_frame(t for t in map(_frame_index, rec["frames"]) if t is not None)
             if not (_is_int(first) and first == expected):
                 errs.add(where, f"first_frame must be {expected}, the smallest frame key, "
                                 f"got {first!r}")

@@ -18,7 +18,7 @@ from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .errors import UndefinedMetricError
-from .image_metrics import DataPoint, MetricReport, _report
+from .image_metrics import DataPoint, MetricReport, _check_media, _report
 # mask_iou is unused but stays: perfbench/test_perfbench.py checks the tracer patches it here
 from .masks import FrameMaskSeq, RleMask, mask_iou  # noqa: F401
 from .matching import DEFAULT_GATE, IouMatrix, gate, iou_matrix, optimal_match, plain_sum
@@ -65,6 +65,7 @@ def phota_remap(
     Masks are carried over bit-exactly; only identities change. Predicted
     masklets are gated before remapping, mirroring the evaluation gate.
     """
+    _check_media(dps, "video")
     ordered = sorted(dps, key=lambda dp: (dp.media_id, dp.phrase))  # stable: ties keep input order
     return tuple(
         RemappedSequence(

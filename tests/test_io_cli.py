@@ -763,6 +763,22 @@ class TestCliSimulateTrackRejections:
         else:
             assert list(tmp_path.iterdir()) == []
 
+    def test_simulate_refused_link_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        # an existing output is kept as a hard link until the write succeeds;
+        # a refused link undoes the files written before it
+        dets, gt = tmp_path / "d.json", tmp_path / "g.json"
+        gt.write_bytes(b"old gt\n")
+
+        def refuse(src, dst):
+            raise OSError("link refused")
+
+        monkeypatch.setattr(os, "link", refuse)
+        argv = ["simulate", "--seed", "7", "--out-detections", str(dets), "--out-gt", str(gt)]
+        assert main(argv) == 2
+        assert f"validation error: {gt}: cannot write file (" in capsys.readouterr().err
+        assert gt.read_bytes() == b"old gt\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+
     def test_sparse_keyed_stream_names_at_most_ten_missing_frames(self, tmp_path, capsys):
         doc = {
             "schema_version": 1,
@@ -994,6 +1010,27 @@ class TestCliSimulateTrack:
         out3 = tmp_path / "d3.json"
         assert main(["simulate", "--config", cfg, "--seed", "8", "--out-detections", str(out3)]) == 0
         assert out1.read_bytes() != out3.read_bytes()
+
+    def test_simulate_over_its_own_outputs(self, tmp_path):
+        fresh, again = tmp_path / "fresh", tmp_path / "again"
+        fresh.mkdir(), again.mkdir()
+        names = ("d.json", "g.json", "t.json")
+
+        def simulate(where):
+            outs = [str(where / name) for name in names]
+            argv = ["simulate", "--seed", "7", "--out-detections", outs[0], "--out-gt", outs[1],
+                    "--out-tracks", outs[2]]
+            assert main(argv) == 0
+
+        simulate(fresh)
+        simulate(again)
+        for mode, name in zip((0o600, 0o640, 0o604), names):
+            (again / name).chmod(mode)
+        simulate(again)
+        for mode, name in zip((0o600, 0o640, 0o604), names):
+            assert (again / name).read_bytes() == (fresh / name).read_bytes()
+            assert (again / name).stat().st_mode & 0o777 == mode
+        assert sorted(p.name for p in again.iterdir()) == list(names)  # no .tmp-* left
 
     def test_track_hold_propagator(self, tmp_path):
         media = {"id": "vid", "height": 8, "width": 8, "frames": 20}
@@ -1615,6 +1652,21 @@ class TestLoadersRejectCoercion:
     )
     def test_malformed_input(self, tmp_path, capsys, run, message):
         self.assert_rejected(run(self, tmp_path), capsys, message)
+
+    @pytest.mark.parametrize(
+        "n_datapoints, extra",
+        [(1, ""), (2, "validation error: datapoints[1]: duplicate datapoint for ('m', 'p')\n")],
+        ids=["one", "duplicate"],
+    )
+    def test_record_on_a_malformed_media_entry(self, tmp_path, capsys, n_datapoints, extra):
+        # the entry is declared, so its record is not an unknown media id; only
+        # the entry's own error is listed, and a duplicate record still is
+        dp = {"media_id": "m", "phrase": "p", "annotations": [[]]}
+        gt = {"schema_version": 1, "media": [{"id": "m", "height": -1, "width": 4}],
+              "datapoints": [dp] * n_datapoints}
+        assert self.human_oracle(tmp_path, write(tmp_path / "gt.json", gt)) == 2
+        assert capsys.readouterr().err == (
+            "validation error: media[0]: height must be a positive integer, got -1\n" + extra)
 
     def test_masklet_id_string_alias(self, tmp_path, capsys):
         masklets = [{"id": 1, "frames": {"0": self.FULL}}, {"id": "1", "frames": {}}]

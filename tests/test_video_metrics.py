@@ -233,6 +233,13 @@ class TestMediaKind:
         with pytest.raises(ValueError, match="video metrics got datapoint img/thing, which holds image masks"):
             video_cg_f1(dps)
 
+    def test_phota_remap_names_the_image_datapoint(self):
+        # hota used to fail deep inside with "'RleMask' object has no attribute 'frames'"
+        track = seq(4, 4, {0: m((0, 0))})
+        dps = [vdp([track], [(track, 0.9)], video="vid"), datapoint([m((0, 0))], media="img")]
+        with pytest.raises(ValueError, match="video metrics got datapoint img/thing, which holds image masks"):
+            hota(phota_remap(dps))
+
     def test_datapoint_without_masks_suits_both(self):
         track = seq(4, 4, {0: m((0, 0))})
         blank = datapoint([], media="blank")
